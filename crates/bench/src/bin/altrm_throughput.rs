@@ -19,12 +19,15 @@
 //! The pool models the regime the paper's Twitter measurements show and
 //! that makes jury selection interesting at all: a *fixed* cohort of
 //! reliable experts (ε ∈ [0.02, 0.30)) inside an ever-growing unreliable
-//! mob (ε ∈ [0.55, 0.95)). The optimal jury sits in the expert band, the
-//! prefix mean crosses ½ right above it, and the Paley–Zygmund bound
-//! erases the whole mob tail — the emitter records how many candidate
-//! sizes were pruned. (A pool whose prefix mean never reaches ½ — e.g. a
-//! uniform ε spread with mean < 0.5 — keeps every size a survivor and
-//! the pruned scan degrades gracefully to the full one plus an `O(N)`
+//! mob (ε ∈ [0.55, 0.95)). The optimal jury sits in the expert band.
+//! The Paley–Zygmund bound prunes only the sizes above the `μ = t`
+//! crossover, where the prefix mean passes ½; the mob sizes between the
+//! expert band and the crossover are cut by the halving stop instead
+//! (every added rate is at least ½, so `JER(m) ≥ JER(n)/2`). The emitter
+//! records how many candidate sizes were pruned. (A pool whose rates all
+//! stay below ½ — e.g. a uniform ε spread with mean < 0.5 — never fires
+//! the stop and keeps every size below the crossover a survivor; the
+//! pruned scan then degrades gracefully to the full one plus an `O(N)`
 //! sweep.)
 //!
 //! Appends an `"altrm"` section to `BENCH_service.json` (run

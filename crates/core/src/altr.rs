@@ -26,6 +26,7 @@ use crate::juror::Juror;
 use crate::problem::{Selection, SolverStats};
 use crate::solver::{sorted_order_into, Solver, SolverScratch};
 use jury_numeric::bounds::{PrefixMoments, TailBound};
+use jury_numeric::float::is_probability;
 use jury_numeric::poibin::PoiBin;
 
 /// Multiplicative safety slack of the bound-pruned scan: a candidate
@@ -44,6 +45,12 @@ pub const PRUNE_SLACK: f64 = 1e-4;
 /// prefix sums' rounding error without limit; inside the margin the
 /// relative error of every kernel stays far below [`PRUNE_SLACK`].
 pub const PRUNE_MARGIN: f64 = 1e-4;
+
+/// Smallest computed JER at which the pruned scan's halving stop may fire
+/// (see [`AltrAlg::solve_pruned`]). Far above the subnormal range, so
+/// the float rounding of both compared tails stays far below
+/// [`PRUNE_SLACK`].
+pub const HALVING_FLOOR: f64 = 1e-280;
 
 /// Which AltrALG implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,32 +170,57 @@ impl AltrAlg {
         self.scan_sorted(pool, order, eps, pmf, jer)
     }
 
-    /// The bound-pruned form of [`AltrAlg::solve_presorted`]: a sweep of
-    /// `O(1)`-per-prefix moment bounds
-    /// ([`jury_numeric::bounds::PrefixMoments`]) first eliminates every
-    /// odd size whose Paley–Zygmund lower bound exceeds the best
-    /// Cantelli/Chernoff upper bound seen anywhere (plus the exact
-    /// size-1 JER); exact JER is then evaluated only at the survivors,
-    /// and the incremental pmf scan *stops at the largest survivor*
-    /// instead of walking the whole pool. When the high-ε tail of the
-    /// run prunes, the post-warm-up cost drops from `O(N²)` to
-    /// `O(N + M²)` where `M` is the largest surviving size.
+    /// The bound-pruned form of [`AltrAlg::solve_presorted`]. Two
+    /// certified rules cut the scan short:
+    ///
+    /// * **Moment pruning.** A sweep of `O(1)`-per-prefix moment bounds
+    ///   ([`jury_numeric::bounds::PrefixMoments`]) first eliminates every
+    ///   odd size whose Paley–Zygmund lower bound exceeds the best
+    ///   Cantelli/Chernoff upper bound seen anywhere (plus the exact
+    ///   size-1 JER). The lower bound applies only above the `μ = t`
+    ///   crossover, so this rule erases sizes past the crossover only.
+    /// * **Halving stop.** For odd `n < m` with every rate after `n` at
+    ///   least ½, `JER(m) ≥ JER(n)/2`: write `C_m = C_n + D` with `D`
+    ///   independent of `C_n`; `D` stochastically dominates
+    ///   `Bin(m−n, ½)`, whose median is `(m−n)/2`, so
+    ///   `Pr(D ≥ (m−n)/2) ≥ ½`, and `t_m = t_n + (m−n)/2`. Hence once an
+    ///   exact survivor has `½·JER(n) > best·(1 + PRUNE_SLACK)` no later
+    ///   size can beat or tie the incumbent and the pmf scan stops.
+    ///
+    /// Exact JER is evaluated only at survivors, and the incremental
+    /// pmf scan ends at the stop point `M` (at most the largest moment
+    /// survivor) instead of walking the whole pool: `O(N + M²)` instead
+    /// of `O(N²)`. A pool whose rates all stay below ½ never fires the
+    /// halving stop and costs what the moment pruning leaves.
     ///
     /// **Bit-identity contract.** The returned `members`, `jer` and
     /// `total_cost` are bit-identical to
     /// [`AltrAlg::solve_presorted`] under
     /// [`AltrStrategy::Incremental`] (the default): survivors are
     /// evaluated by the identical sequential [`PoiBin::push`]/tail
-    /// operations, pruning is sound (an eliminated size's exact JER
-    /// strictly exceeds the incumbent's, with [`PRUNE_SLACK`] and
+    /// operations, pruning is sound (an eliminated size's computed JER
+    /// is never below the incumbent's, with [`PRUNE_SLACK`] and
     /// [`PRUNE_MARGIN`] absorbing kernel rounding), and survivors are
     /// scanned ascending with a strict comparison so the smallest-`n`
-    /// tie-break is preserved. The [`SolverStats`] *differ by design*:
-    /// `jer_evaluations` counts only the survivors and
-    /// `pruned_by_bound` the eliminated sizes, while
-    /// `candidates_considered` still counts every odd size. The
-    /// configured strategy/engine are ignored — this scan *is* its own
-    /// strategy.
+    /// tie-break is preserved.
+    ///
+    /// The halving stop compares *computed* tails, so it fires only
+    /// when the computed `JER(n)` is at least [`HALVING_FLOOR`]; then
+    /// the exact `JER(m) ≥ JER(n)/2` is a normal float too. Every pmf
+    /// entry is a sum of non-negative products, so each push adds at
+    /// most a few ulps of relative error — about `m` ulps after `m`
+    /// pushes, tail summation included — plus, from entries that round
+    /// in the subnormal range, an absolute error of at most
+    /// `m²·2⁻¹⁰⁷⁴` over the tail. Both stay orders of magnitude below
+    /// [`PRUNE_SLACK`] relative to a tail above the floor, so a later
+    /// computed JER cannot fall below the incumbent and the full
+    /// scan's strict `<` would never have moved it.
+    ///
+    /// The [`SolverStats`] *differ by design*: `jer_evaluations` counts
+    /// only the evaluated survivors and `pruned_by_bound` the sizes
+    /// either rule skipped, while `candidates_considered` still counts
+    /// every odd size. The configured strategy/engine are ignored —
+    /// this scan *is* its own strategy.
     ///
     /// # Errors
     /// [`JuryError::EmptyPool`] when `pool` is empty.
@@ -338,20 +370,70 @@ fn scan_incremental(eps_sorted: &[f64], pmf: &mut PoiBin) -> (usize, f64, Solver
 
 /// The bound-pruned scan behind [`AltrAlg::solve_pruned`].
 ///
-/// Pass 1 streams [`PrefixMoments`] over the run: per odd size it
-/// collects the Paley–Zygmund lower bound (`-∞` when inapplicable or
-/// inside [`PRUNE_MARGIN`] of the `μ = t` crossover) into `lower`, and
-/// folds the applicable Cantelli/Chernoff upper bounds — seeded with the
-/// exact size-1 JER, which is the first rate itself — into one incumbent
-/// upper bound. Pass 2 runs the ordinary incremental pmf scan, but only
+/// Pass 1 ([`moment_bounds`]) streams [`PrefixMoments`] over the run:
+/// per odd size it collects the Paley–Zygmund lower bound (`-∞` when
+/// inapplicable or inside [`PRUNE_MARGIN`] of the `μ = t` crossover)
+/// into `lower`, and folds the applicable Cantelli/Chernoff upper
+/// bounds — seeded with the exact size-1 JER, which is the first rate
+/// itself — into one incumbent upper bound. Pass 2 runs the ordinary incremental pmf scan, but only
 /// up to the largest size whose lower bound fails to clear the incumbent
-/// by [`PRUNE_SLACK`], evaluating tails only at those survivors.
+/// by [`PRUNE_SLACK`], evaluating tails only at those survivors. It
+/// stops earlier still once the halving bound certifies that no later
+/// survivor can win: the next rate is at least ½, the computed tail is
+/// at least [`HALVING_FLOOR`], and half of it clears the incumbent by
+/// [`PRUNE_SLACK`]. The skipped survivors count as pruned. Cost:
+/// `O(N)` for pass 1 plus `O(M²)` for pass 2 with `M` the stop point.
 fn scan_pruned(
     eps_sorted: &[f64],
     pmf: &mut PoiBin,
     lower: &mut Vec<f64>,
 ) -> (usize, f64, SolverStats) {
     let mut stats = SolverStats::default();
+    let cutoff = moment_bounds(eps_sorted, lower);
+
+    // Survivors: odd sizes whose lower bound cannot certify defeat.
+    let mut max_survivor = 0usize;
+    for (k, &lb) in lower.iter().enumerate() {
+        let n = 2 * k + 1;
+        stats.candidates_considered += 1;
+        if lb > cutoff {
+            stats.pruned_by_bound += 1;
+        } else {
+            max_survivor = n;
+        }
+    }
+
+    let mut best_n = 0usize;
+    let mut best_jer = f64::INFINITY;
+    pmf.reset();
+    for (i, &e) in eps_sorted[..max_survivor].iter().enumerate() {
+        pmf.push(e);
+        let n = i + 1;
+        if n % 2 == 1 && lower[(n - 1) / 2] <= cutoff {
+            let jer = pmf.tail(JerEngine::majority_threshold(n));
+            stats.jer_evaluations += 1;
+            if jer < best_jer {
+                best_jer = jer;
+                best_n = n;
+            }
+            if n < max_survivor
+                && eps_sorted[n] >= 0.5
+                && jer >= HALVING_FLOOR
+                && 0.5 * jer > best_jer * (1.0 + PRUNE_SLACK)
+            {
+                stats.pruned_by_bound +=
+                    lower[n.div_ceil(2)..].iter().filter(|&&lb| lb <= cutoff).count();
+                break;
+            }
+        }
+    }
+    (best_n, best_jer, stats)
+}
+
+/// Pass 1 of [`scan_pruned`]: writes each odd size's certified lower
+/// bound into `lower` and returns the pruning cutoff, the best certified
+/// upper bound widened by [`PRUNE_SLACK`].
+fn moment_bounds(eps_sorted: &[f64], lower: &mut Vec<f64>) -> f64 {
     let mut moments = PrefixMoments::new();
     let mut incumbent_ub = f64::INFINITY;
     lower.clear();
@@ -386,36 +468,7 @@ fn scan_pruned(
         };
         lower.push(lb);
     }
-
-    // Survivors: odd sizes whose lower bound cannot certify defeat.
-    let cutoff = incumbent_ub * (1.0 + PRUNE_SLACK);
-    let mut max_survivor = 0usize;
-    for (k, &lb) in lower.iter().enumerate() {
-        let n = 2 * k + 1;
-        stats.candidates_considered += 1;
-        if lb > cutoff {
-            stats.pruned_by_bound += 1;
-        } else {
-            max_survivor = n;
-        }
-    }
-
-    let mut best_n = 0usize;
-    let mut best_jer = f64::INFINITY;
-    pmf.reset();
-    for (i, &e) in eps_sorted[..max_survivor].iter().enumerate() {
-        pmf.push(e);
-        let n = i + 1;
-        if n % 2 == 1 && lower[(n - 1) / 2] <= cutoff {
-            let jer = pmf.tail(JerEngine::majority_threshold(n));
-            stats.jer_evaluations += 1;
-            if jer < best_jer {
-                best_jer = jer;
-                best_n = n;
-            }
-        }
-    }
-    (best_n, best_jer, stats)
+    incumbent_ub * (1.0 + PRUNE_SLACK)
 }
 
 /// The odd-size JER profile (the Figure 3(a) curve) as a *repairable*
@@ -452,11 +505,16 @@ impl JerProfile {
     }
 
     /// Rebuilds a profile from decoded entries (snapshot restore),
-    /// re-validating the shape [`JerProfile::build`] guarantees: entry
-    /// `i` covers exactly `n = 2i + 1`. Returns `None` for any other
-    /// shape — the repair machinery indexes by that contract.
+    /// re-validating what [`JerProfile::build`] guarantees: entry `i`
+    /// covers exactly `n = 2i + 1` (the repair machinery indexes by
+    /// that contract) and carries a JER in `[0, 1]`. Returns `None` for
+    /// any other shape and for NaN, negative or above-one values.
     pub fn from_entries(entries: Vec<(usize, f64)>) -> Option<Self> {
-        entries.iter().enumerate().all(|(i, &(n, _))| n == 2 * i + 1).then_some(Self { entries })
+        entries
+            .iter()
+            .enumerate()
+            .all(|(i, &(n, jer))| n == 2 * i + 1 && is_probability(jer))
+            .then_some(Self { entries })
     }
 
     /// Repairs the profile after the run changed at (0-based) rank
@@ -762,6 +820,88 @@ mod tests {
         (pruned, full)
     }
 
+    /// What the moment pruning alone produces over `pool`: every
+    /// moment survivor evaluated, none skipped by the halving stop.
+    fn moment_only_stats(pool: &[Juror]) -> SolverStats {
+        let eps: Vec<f64> = sorted_order(pool).iter().map(|&i| pool[i].epsilon()).collect();
+        let mut lower = Vec::new();
+        let cutoff = moment_bounds(&eps, &mut lower);
+        let pruned = lower.iter().filter(|&&lb| lb > cutoff).count();
+        SolverStats {
+            jer_evaluations: lower.len() - pruned,
+            pruned_by_bound: pruned,
+            candidates_considered: lower.len(),
+        }
+    }
+
+    /// Deterministic xorshift64 stream of uniforms in `[0, 1)`.
+    fn uniforms(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Expert-plus-mob rates: `experts` reliable jurors in
+    /// [0.02, 0.45), the rest a mob in `[mob_lo, 0.95)`, golden-ratio
+    /// spaced.
+    fn expert_mob(len: usize, experts: usize, mob_lo: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let u = (i as f64 * 0.618_033_988_749_894_9).fract();
+                if i < experts {
+                    0.02 + 0.43 * u
+                } else {
+                    mob_lo + (0.95 - mob_lo) * u
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn halving_bound_holds_by_enumeration() {
+        // For odd n < m with every rate after n at least ½, the exact
+        // JER(m) is at least JER(n)/2 — the pruned scan's stop rule.
+        let mut next = uniforms(0x9e37_79b9_7f4a_7c15);
+        let mut checked = 0usize;
+        for trial in 0..48 {
+            let len = 1 + trial % 18;
+            let experts = (next() * len as f64) as usize;
+            let mut eps: Vec<f64> = (0..len)
+                .map(|i| {
+                    if i < experts {
+                        0.01 + 0.48 * next()
+                    } else if trial % 3 == 0 || next() < 0.3 {
+                        0.5
+                    } else {
+                        0.5 + 0.49 * next()
+                    }
+                })
+                .collect();
+            eps.sort_by(f64::total_cmp);
+            let jer: Vec<f64> = (1..=len)
+                .step_by(2)
+                .map(|n| {
+                    PoiBin::from_error_rates_naive(&eps[..n]).tail(JerEngine::majority_threshold(n))
+                })
+                .collect();
+            for n in (1..len).step_by(2).filter(|&n| eps[n] >= 0.5) {
+                for m in (n + 2..=len).step_by(2) {
+                    let (jer_n, jer_m) = (jer[n / 2], jer[m / 2]);
+                    assert!(
+                        jer_m >= jer_n / 2.0,
+                        "trial {trial}: JER({m}) = {jer_m} < JER({n})/2 = {}",
+                        jer_n / 2.0
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 200, "too few (n, m) pairs met the precondition: {checked}");
+    }
+
     #[test]
     fn pruned_scan_is_bit_identical_across_regimes() {
         // Reliable, error-prone, mixed, degenerate and adversarial pools.
@@ -778,11 +918,73 @@ mod tests {
                 (0..101).map(|i| if i < 5 { 0.03 + i as f64 * 0.01 } else { 0.8 }).collect(),
             ),
             ("uniform-spread", (0..200).map(|i| 0.02 + 0.96 * (i as f64 / 200.0)).collect()),
+            ("mob-from-half", expert_mob(301, 12, 0.5)),
+            ("halves-after-experts", (0..61).map(|i| if i < 7 { 0.1 } else { 0.5 }).collect()),
+            // JER rises from n = 1, then falls below the lone expert's
+            // rate only hundreds of sizes later: a rise is no stop signal
+            // while the added rates stay below ½.
+            (
+                "lone-expert-then-near-half",
+                (0..1001).map(|i| if i == 0 { 0.1 } else { 0.45 }).collect(),
+            ),
         ];
         for (label, rates) in cases {
             let pool = pool_from_rates(&rates).unwrap();
             assert_pruned_matches(&pool, label);
         }
+    }
+
+    #[test]
+    fn halving_stop_fires_mid_run_on_a_large_mob() {
+        // 2% experts inside a 2×10⁴ mob: the moment bounds leave
+        // thousands of survivors below the crossover, and the halving
+        // stop must cut the pmf scan short of them.
+        let pool = pool_from_rates(&expert_mob(20_000, 400, 0.55)).unwrap();
+        let moments = moment_only_stats(&pool);
+        let (pruned, _) = assert_pruned_matches(&pool, "expert-plus-mob 2e4");
+        assert!(
+            pruned.stats.jer_evaluations < moments.jer_evaluations / 2,
+            "stop never fired: {:?} vs moment-only {moments:?}",
+            pruned.stats
+        );
+    }
+
+    #[test]
+    fn halving_stop_never_fires_below_half() {
+        // Every rate below ½: the stop's precondition never holds, so
+        // the stats are exactly the moment pruning's.
+        for (label, rates) in [
+            ("uniform-below-half", (0..500).map(|i| 0.02 + 0.47 * (i as f64 / 500.0)).collect()),
+            (
+                "expert-mob-below-half",
+                expert_mob(801, 40, 0.3).iter().map(|e| e.min(0.49)).collect::<Vec<f64>>(),
+            ),
+        ] {
+            let pool = pool_from_rates(&rates).unwrap();
+            let (pruned, _) = assert_pruned_matches(&pool, label);
+            assert_eq!(pruned.stats, moment_only_stats(&pool), "{label}");
+        }
+    }
+
+    #[test]
+    fn halving_stop_keeps_an_underflowed_optimum() {
+        // Very good experts push the optimum JER below the smallest
+        // subnormal: the incumbent is exactly 0.0, and the stop must
+        // wait for a tail above the float floor before it fires.
+        let rates: Vec<f64> = (0..4_001)
+            .map(|i| {
+                let u = (i as f64 * 0.618_033_988_749_894_9).fract();
+                if i < 400 {
+                    0.001 + 0.004 * u
+                } else {
+                    0.55 + 0.4 * u
+                }
+            })
+            .collect();
+        let pool = pool_from_rates(&rates).unwrap();
+        let (pruned, full) = assert_pruned_matches(&pool, "underflow");
+        assert_eq!(full.jer, 0.0, "the fixture must underflow");
+        assert!(pruned.stats.jer_evaluations < moment_only_stats(&pool).jer_evaluations);
     }
 
     #[test]
@@ -800,13 +1002,7 @@ mod tests {
 
     #[test]
     fn pruned_scan_on_random_pools() {
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut next = uniforms(0x2545f4914f6cdd1d);
         for trial in 0..40 {
             let n = 1 + (trial * 13) % 120;
             // Alternate reliable-heavy and error-prone-heavy regimes.
@@ -834,6 +1030,23 @@ mod tests {
         eps.sort_by(f64::total_cmp);
         let profile = JerProfile::build(&eps);
         assert_eq!(profile.entries(), AltrAlg::jer_profile(&pool).as_slice());
+    }
+
+    #[test]
+    fn jer_profile_from_entries_rejects_bad_shapes_and_values() {
+        let good = JerProfile::build(&[0.1, 0.2, 0.3, 0.4, 0.45]);
+        assert_eq!(JerProfile::from_entries(good.entries().to_vec()), Some(good.clone()));
+        assert_eq!(JerProfile::from_entries(Vec::new()), Some(JerProfile::default()));
+        assert_eq!(
+            JerProfile::from_entries(vec![(1, 0.0), (3, 1.0)]).map(|p| p.entries().len()),
+            Some(2)
+        );
+        assert_eq!(JerProfile::from_entries(vec![(1, 0.1), (5, 0.2)]), None, "gap in sizes");
+        for bad in [f64::NAN, -0.25, -f64::MIN_POSITIVE, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut entries = good.entries().to_vec();
+            entries[1].1 = bad;
+            assert_eq!(JerProfile::from_entries(entries), None, "JER {bad} accepted");
+        }
     }
 
     #[test]

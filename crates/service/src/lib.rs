@@ -34,11 +34,15 @@
 //!   re-solve is **bound-pruned** ([`AltrAlg::solve_pruned`]): prefix
 //!   sums of ε and ε(1−ε) ([`jury_numeric::bounds::PrefixMoments`])
 //!   evaluate Paley–Zygmund lower and Cantelli/Chernoff upper JER
-//!   bounds in `O(1)` per odd size, every size whose lower bound clears
-//!   the best upper bound is eliminated, and exact JER runs only at the
-//!   survivors — `O(N + M²)` for largest survivor `M` instead of the
-//!   `O(N²)` full prefix rescan (the `altrm_throughput` bench records
-//!   ~10³× at 10⁴ jurors on an expert-plus-mob pool).
+//!   bounds in `O(1)` per odd size, and every size whose lower bound
+//!   clears the best upper bound is eliminated. Exact JER runs only at
+//!   the survivors, and the scan stops as soon as a *halving bound*
+//!   certifies the rest: once every added rate is at least ½,
+//!   `JER(m) ≥ JER(n)/2`, so a survivor with half its JER above the
+//!   incumbent ends the scan. The cost is `O(N + M²)` for stop point
+//!   `M` instead of the `O(N²)` full prefix rescan. The same scan
+//!   serves cold `warm_pool`, sharded pools and post-mutation
+//!   re-solves.
 //! * **PayM budget staircase** — Algorithm 4's selection is piecewise
 //!   constant in the budget, so each pool's warm greedy order carries a
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
@@ -79,13 +83,14 @@
 //! * **Bound-pruned AltrM selections are bit-identical; the stats are
 //!   not.** The pruned scan evaluates survivors with the identical
 //!   sequential pushes the full scan performs and pruning is sound
-//!   (an eliminated size's exact JER strictly exceeds the incumbent's,
-//!   smallest-`n` tie-break preserved — see
-//!   [`AltrAlg::solve_pruned`]), so members/JER/cost match the full
-//!   scan bit for bit. The [`SolverStats`](jury_core::SolverStats)
-//!   *document the pruning instead of hiding it*: `jer_evaluations`
-//!   counts survivors only and `pruned_by_bound` the eliminated sizes
-//!   (their sum equals the full scan's evaluation count). This is the
+//!   (no size it skips — by a moment bound or by the halving stop —
+//!   can beat or tie the incumbent, smallest-`n` tie-break preserved;
+//!   see [`AltrAlg::solve_pruned`]), so members/JER/cost match the
+//!   full scan bit for bit. The
+//!   [`SolverStats`](jury_core::SolverStats) *document the pruning
+//!   instead of hiding it*: `jer_evaluations` counts evaluated sizes
+//!   only and `pruned_by_bound` the skipped ones (their sum equals the
+//!   full scan's evaluation count). This is the
 //!   one place service answers differ from the direct solver's, by
 //!   design. Crucially, the pruned scan builds its pmfs from scratch —
 //!   it never reads a repaired checkpoint — which is what keeps

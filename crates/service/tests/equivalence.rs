@@ -15,7 +15,7 @@ use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig};
 use jury_core::problem::Selection;
-use jury_service::{DecisionTask, JuryService, ServiceConfig, ServiceError};
+use jury_service::{DecisionTask, JuryService, ServiceConfig, ServiceError, ShardConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -89,6 +89,57 @@ fn check_all_paths(service: &mut JuryService, pool: jury_service::PoolId, budget
                 (want, have) => panic!("{label}: direct {want:?} vs service {have:?}"),
             }
         }
+    }
+}
+
+/// Expert-plus-mob quotes: `experts` reliable jurors in [0.02, 0.45),
+/// the rest a mob in [0.55, 0.95), golden-ratio spaced, convex prices.
+fn expert_mob(len: usize, experts: usize) -> Vec<(f64, f64)> {
+    (0..len)
+        .map(|i| {
+            let u = (i as f64 * 0.618_033_988_749_894_9).fract();
+            let e = if i < experts { 0.02 + 0.43 * u } else { 0.55 + 0.40 * u };
+            (e, 0.05 + u * u)
+        })
+        .collect()
+}
+
+/// An expert-plus-mob pool on which the pruned scan's halving stop
+/// fires below the `μ = t` crossover, where no moment bound applies.
+/// Flat and sharded (K = 4), cold, warm, batched and after a mutation,
+/// the service's AltrM answer must equal the direct full scan bit for
+/// bit.
+#[test]
+fn expert_plus_mob_pool_matches_direct_flat_and_sharded() {
+    let pairs = expert_mob(3_000, 60);
+    let mut eps: Vec<f64> = pairs.iter().map(|&(e, _)| e).collect();
+    eps.sort_by(f64::total_cmp);
+    // First odd size whose mean error count reaches the majority
+    // threshold: every size below it survives the moment bounds.
+    let mut mu = 0.0;
+    let crossover = (1..=eps.len())
+        .find(|&n| {
+            mu += eps[n - 1];
+            n % 2 == 1 && mu >= n.div_ceil(2) as f64
+        })
+        .expect("the mob drives the mean past the threshold");
+
+    let sharded = ServiceConfig {
+        shard: ShardConfig { threshold: 0, shards: 4, ..Default::default() },
+        ..Default::default()
+    };
+    for (label, config) in [("flat", ServiceConfig::default()), ("sharded", sharded)] {
+        let mut service = JuryService::with_config(config);
+        let pool = service.create_pool(build(&pairs));
+        check_all_paths(&mut service, pool, &[1.5, 4.0]);
+        let stats = service.solve(&DecisionTask::altruism(pool)).unwrap().stats;
+        assert!(
+            stats.jer_evaluations < crossover / 2,
+            "{label}: the halving stop must fire below the crossover {crossover}: {stats:?}"
+        );
+
+        service.update_juror(pool, 7, Juror::new(7, ErrorRate::new(0.81).unwrap(), 0.3)).unwrap();
+        check_all_paths(&mut service, pool, &[1.5, 4.0]);
     }
 }
 

@@ -447,6 +447,34 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
     }
 }
 
+/// A JER profile entry carrying an impossible value — NaN, negative or
+/// above one — with every checksum re-forged around it: the profile's
+/// value gate must refuse the entry at verification, not restore it.
+#[test]
+fn impossible_profile_values_fall_back_cold() {
+    let tmp = TempDir::new("profile-values");
+    let config = flat_config();
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    let pristine = fs::read(&file).unwrap();
+    let sections = sections_of(&pristine);
+    let profile = sections.iter().find(|s| s.tag == 7).expect("seeded entry has a profile");
+    assert!(profile.len >= 32, "the profile must hold at least two entries");
+
+    for bad in [f64::NAN, -0.25, 1.5, f64::INFINITY] {
+        // Entry 1 is `(3, JER)`: its value word sits at payload + 24.
+        let at = profile.payload + 24;
+        let mut forged = pristine.clone();
+        forged[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        reseal_section(&mut forged, profile);
+        fs::write(&file, &forged).unwrap();
+        reforge_manifest(tmp.path());
+        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &format!("profile JER {bad}"));
+    }
+}
+
 /// Manifests swapped between two pools: each entry's identity fields
 /// now point at the *other* pool's bytes. The whole-file gate passes by
 /// construction (lengths and checksums re-forged), so the embedded-key
