@@ -30,22 +30,36 @@
 //! pruned scan then degrades gracefully to the full one plus an `O(N)`
 //! sweep.)
 //!
+//! A last table prices the pmf kernel itself at the sizes PayM pair
+//! trials and post-mutation re-solves see (16 to 4,096 entries), over
+//! the same pool family's ε-sorted rates: `PoiBin::push` growing a pmf
+//! from half the size to the size, and `PoiBin::tail` at the majority
+//! threshold. Both are reported in ns per *nominal* entry, the entries
+//! a full-width kernel would touch, so rows from kernels that skip the
+//! zero ends stay comparable.
+//!
 //! Appends an `"altrm"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version on a tiny pool and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! `service_throughput` first — it rewrites the whole file). Every row
+//! is stamped with the measured commit and `nproc`, and rows of other
+//! commits are kept. `--smoke` runs a seconds-long version on a
+//! tiny pool and writes nothing — CI uses it to keep this binary from
+//! rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin altrm_throughput [-- --smoke]
 //! ```
 
+use jury_bench::history::{measured_commit, other_commits, stamped};
 use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::time_best_of;
 use jury_core::altr::AltrAlg;
+use jury_core::jer::JerEngine;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::solver::{sorted_order_into, SolverScratch};
+use jury_numeric::poibin::PoiBin;
 use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ShardConfig};
 use serde::{json, Serialize, Value};
+use std::hint::black_box;
 
 /// Number of reliable experts, independent of pool size.
 const EXPERTS: usize = 100;
@@ -116,6 +130,42 @@ fn full_rescan_baseline(jurors: &[Juror], repeats: usize) -> f64 {
     secs
 }
 
+/// pmf sizes (entries) of the kernel table.
+const KERNEL_SIZES: [usize; 5] = [16, 64, 256, 1_024, 4_096];
+
+/// ns per nominal entry of `PoiBin::push` and `PoiBin::tail` at `size`
+/// entries over `eps_sorted`, each timed over about `budget` nominal
+/// entries (best of `repeats`).
+fn kernel_costs(eps_sorted: &[f64], size: usize, budget: usize, repeats: usize) -> (f64, f64) {
+    let half = size / 2;
+    let mut base = PoiBin::empty();
+    for &e in &eps_sorted[..half - 1] {
+        base.push(e);
+    }
+    // Growing from `half` entries to `size`: a push to k entries touches
+    // k of them at full width.
+    let grow = &eps_sorted[half - 1..size - 1];
+    let pushed: usize = (half + 1..=size).sum();
+    let rounds = (budget / pushed).max(1);
+    let mut trial = PoiBin::empty();
+    let (_, push_secs) = time_best_of(repeats, || {
+        for _ in 0..rounds {
+            trial.copy_from(&base);
+            for &e in grow {
+                trial.push(e);
+            }
+        }
+        black_box(trial.n())
+    });
+    let threshold = JerEngine::majority_threshold(size - 1);
+    let summed = size - threshold;
+    let sums = (budget / summed).max(1);
+    let (_, tail_secs) = time_best_of(repeats, || {
+        black_box((0..sums).map(|_| black_box(&trial).tail(threshold)).sum::<f64>())
+    });
+    (push_secs * 1e9 / (rounds * pushed) as f64, tail_secs * 1e9 / (sums * summed) as f64)
+}
+
 fn sharded_service(k: usize) -> JuryService {
     JuryService::with_config(ServiceConfig {
         shard: ShardConfig { threshold: 1, shards: k, ..Default::default() },
@@ -134,6 +184,7 @@ fn main() {
          against the O(N^2) full-rescan baseline",
         &["pool", "layout", "steady warm", "post-mutation", "full rescan", "speedup", "pruned"],
     );
+    let commit = measured_commit();
     let mut rows: Vec<Value> = Vec::new();
 
     for &n in &pool_sizes {
@@ -153,16 +204,19 @@ fn main() {
                 &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
                 &pruned,
             ]);
-            rows.push(Value::object([
-                ("pool_size", n.to_value()),
-                ("shards", shards.map_or(Value::Null, |k| k.to_value())),
-                ("model", "altrm".to_value()),
-                ("steady_warm_hit_secs", steady.to_value()),
-                ("post_mutation_secs", post.to_value()),
-                ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
-                ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
-                ("sizes_pruned_per_solve", pruned.to_value()),
-            ]));
+            rows.push(stamped(
+                &commit,
+                vec![
+                    ("pool_size", n.to_value()),
+                    ("shards", shards.map_or(Value::Null, |k| k.to_value())),
+                    ("model", "altrm".to_value()),
+                    ("steady_warm_hit_secs", steady.to_value()),
+                    ("post_mutation_secs", post.to_value()),
+                    ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
+                    ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
+                    ("sizes_pruned_per_solve", pruned.to_value()),
+                ],
+            ));
         };
         for &k in &shard_counts {
             run(&mut sharded_service(k), format!("sharded/{k}"), Some(k));
@@ -171,6 +225,31 @@ fn main() {
     }
 
     report.emit();
+
+    let mut kernel = Report::new(
+        "altrm_poibin_kernel",
+        "PoiBin push/tail ns per nominal pmf entry over expert-plus-mob eps-sorted rates",
+        &["entries", "push ns/entry", "tail ns/entry"],
+    );
+    let kernel_pool = pool(KERNEL_SIZES[KERNEL_SIZES.len() - 1]);
+    let mut kernel_order = Vec::new();
+    sorted_order_into(&kernel_pool, &mut kernel_order);
+    let kernel_eps: Vec<f64> = kernel_order.iter().map(|&i| kernel_pool[i].epsilon()).collect();
+    let budget = if smoke { 200_000 } else { 20_000_000 };
+    let mut kernel_rows: Vec<Value> = Vec::new();
+    for size in KERNEL_SIZES {
+        let (push, tail) = kernel_costs(&kernel_eps, size, budget, repeats);
+        kernel.row(&[&size, &format!("{push:.3}"), &format!("{tail:.3}")]);
+        kernel_rows.push(stamped(
+            &commit,
+            vec![
+                ("entries", size.to_value()),
+                ("push_ns_per_entry", push.to_value()),
+                ("tail_ns_per_entry", tail.to_value()),
+            ],
+        ));
+    }
+    kernel.emit();
 
     if smoke {
         println!("[smoke] altrm_throughput ok ({} measurements)", rows.len());
@@ -184,6 +263,10 @@ fn main() {
         .ok()
         .and_then(|text| json::parse(&text).ok())
         .unwrap_or_else(|| Value::object([("bench", "service_throughput".to_value())]));
+    let mut history = other_commits(&doc, "altrm", "results", &commit);
+    history.extend(rows);
+    let mut kernel_history = other_commits(&doc, "altrm", "poibin_kernel", &commit);
+    kernel_history.extend(kernel_rows);
     let section = Value::object([
         (
             "workload",
@@ -204,7 +287,8 @@ fn main() {
             )
             .to_value(),
         ),
-        ("results", Value::Array(rows)),
+        ("results", Value::Array(history)),
+        ("poibin_kernel", Value::Array(kernel_history)),
     ]);
     if let Value::Object(fields) = &mut doc {
         fields.retain(|(key, _)| key != "altrm");

@@ -61,16 +61,17 @@ fn main() -> ExitCode {
         }
     }
     // Field-level guard: every "restart" row must carry the
-    // incremental-checkpoint figures, not just the restore ones — a
-    // regression to the full-rewrite emitter would otherwise keep the
-    // section present while silently dropping the trajectory.
+    // incremental-checkpoint figures and the cold-build phases, not just
+    // the restore ones, plus its commit/nproc stamp — a regression to an
+    // older emitter would otherwise keep the section present while
+    // silently dropping the trajectory.
     let restart_rows_ok = fields.iter().any(|(key, value)| {
         key == "restart"
             && match value {
                 Value::Object(inner) => inner.iter().any(|(k, v)| {
                     k == "results"
                         && matches!(v, Value::Array(rows) if !rows.is_empty()
-                            && rows.iter().all(row_has_checkpoint_fields))
+                            && rows.iter().all(row_has_restart_fields))
                 }),
                 _ => false,
             }
@@ -85,25 +86,32 @@ fn main() -> ExitCode {
     }
     if !restart_rows_ok {
         eprintln!(
-            "[schema] {path}: \"restart\" rows lack the incremental-checkpoint fields \
-             {CHECKPOINT_FIELDS:?} (re-run restart_throughput)"
+            "[schema] {path}: \"restart\" rows lack some of the fields \
+             {RESTART_FIELDS:?} (re-run restart_throughput)"
         );
     }
     ExitCode::FAILURE
 }
 
-/// The incremental-checkpoint figures every restart row must report.
-const CHECKPOINT_FIELDS: [&str; 4] = [
+/// The stamp, cold-build phases and incremental-checkpoint figures
+/// every restart row must report.
+const RESTART_FIELDS: [&str; 10] = [
+    "commit",
+    "nproc",
+    "register_secs",
+    "eps_sort_secs",
+    "greedy_sort_secs",
+    "altrm_scan_secs",
     "checkpoint_written",
     "checkpoint_full_secs",
     "checkpoint_incremental_secs",
     "checkpoint_speedup",
 ];
 
-fn row_has_checkpoint_fields(row: &Value) -> bool {
+fn row_has_restart_fields(row: &Value) -> bool {
     match row {
         Value::Object(fields) => {
-            CHECKPOINT_FIELDS.iter().all(|want| fields.iter().any(|(key, _)| key == want))
+            RESTART_FIELDS.iter().all(|want| fields.iter().any(|(key, _)| key == want))
         }
         _ => false,
     }

@@ -14,6 +14,13 @@
 //! service, register the pool, solve the first task. Both answers are
 //! asserted bit-identical before anything is reported.
 //!
+//! The cold side is also split into phases, each timed on its own
+//! (best of repeats): registration (a fresh service plus `create_pool`),
+//! the ε sort, the greedy sort and the AltrM scan (`solve_pruned` on a
+//! cold scratch). The service runs the greedy sort on a second thread
+//! beside the ε sort and the scan when it has more than one core, so the
+//! end-to-end cold figure can be below the phases' sum.
+//!
 //! A second measurement prices the *incremental checkpoint*: a fleet of
 //! content-distinct pools is warmed and fully checkpointed once, then
 //! ~1% of the fleet churns (a pool retires, a fresh-content replacement
@@ -23,7 +30,9 @@
 //! rewrite.
 //!
 //! Appends a `"restart"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
+//! `service_throughput` first — it rewrites the whole file). Each row is
+//! stamped with the measured commit and `nproc`; rows of other commits
+//! are kept, so the section is a history. `--smoke`
 //! runs a sub-second version on a tiny pool and writes nothing — CI
 //! uses it to keep this binary from rotting.
 //!
@@ -31,9 +40,13 @@
 //! $ cargo run --release -p jury-bench --bin restart_throughput [-- --smoke]
 //! ```
 
+use jury_bench::history::{measured_commit, other_commits, stamped};
 use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::{time_best_of, time_it};
+use jury_core::altr::AltrAlg;
 use jury_core::juror::{pool_from_rates_and_costs, Juror};
+use jury_core::paym::PayAlg;
+use jury_core::solver::{sorted_order_into, SolverScratch};
 use jury_service::{DecisionTask, JuryService, ServiceConfig};
 use serde::{json, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -90,6 +103,26 @@ fn restart_to_first_answer(
     (secs, answer, restores)
 }
 
+/// The cold build's phases, each timed alone (best of `repeats`):
+/// `[register, ε sort, greedy sort, AltrM scan]` in seconds.
+fn cold_phases(jurors: &[Juror], repeats: usize) -> [f64; 4] {
+    let mut stock: Vec<Vec<Juror>> = (0..repeats).map(|_| jurors.to_vec()).collect();
+    // The service is returned, so its teardown stays out of the timing.
+    let (_, register) = time_best_of(repeats, || {
+        let mut service = JuryService::new();
+        service.create_pool(stock.pop().expect("one stock pool per repeat"));
+        service
+    });
+    let mut order = Vec::new();
+    let (_, eps_sort) = time_best_of(repeats, || sorted_order_into(jurors, &mut order));
+    let mut greedy = Vec::new();
+    let (_, greedy_sort) = time_best_of(repeats, || PayAlg::greedy_order_into(jurors, &mut greedy));
+    let (_, scan) = time_best_of(repeats, || {
+        AltrAlg::default().solve_pruned(jurors, &order, &mut SolverScratch::new())
+    });
+    [register, eps_sort, greedy_sort, scan]
+}
+
 /// Builds the snapshot the restore side restarts from: a warm service
 /// over the same content, solved once, persisted. The altruism solve
 /// is what populates the AltrM answer the snapshot carries.
@@ -134,7 +167,8 @@ fn checkpoint_costs(dir: &Path, fleet: usize, per: usize, churned: usize) -> (f6
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (sizes, repeats): (Vec<usize>, usize) =
-        if smoke { (vec![400], 1) } else { (vec![10_000, 1_000_000], 3) };
+        if smoke { (vec![400], 1) } else { (vec![10_000, 100_000, 1_000_000], 3) };
+    let commit = measured_commit();
 
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "jury-restart-bench-{}{}",
@@ -145,7 +179,20 @@ fn main() {
     let mut report = Report::new(
         "restart_throughput",
         "restart-to-first-answer: cold warm-build vs verified snapshot restore",
-        &["pool", "cold", "snapshot", "speedup", "restores", "ckpt-full", "ckpt-incr", "ckpt-gain"],
+        &[
+            "pool",
+            "register",
+            "eps sort",
+            "greedy sort",
+            "altrm scan",
+            "cold",
+            "snapshot",
+            "speedup",
+            "restores",
+            "ckpt-full",
+            "ckpt-incr",
+            "ckpt-gain",
+        ],
     );
     let mut rows: Vec<Value> = Vec::new();
 
@@ -154,6 +201,7 @@ fn main() {
         let (cold_secs, cold_answer, cold_restores) =
             restart_to_first_answer(&jurors, repeats, None);
         assert_eq!(cold_restores, 0, "the cold side must not restore anything");
+        let [register, eps_sort, greedy_sort, scan] = cold_phases(&jurors, repeats);
 
         let _ = std::fs::remove_dir_all(&dir);
         seed_snapshot(&dir, &jurors);
@@ -184,6 +232,10 @@ fn main() {
         let speedup = cold_secs / snap_secs;
         report.row(&[
             &n,
+            &fmt_secs(register),
+            &fmt_secs(eps_sort),
+            &fmt_secs(greedy_sort),
+            &fmt_secs(scan),
             &fmt_secs(cold_secs),
             &fmt_secs(snap_secs),
             &format!("{speedup:.1}x"),
@@ -192,18 +244,25 @@ fn main() {
             &fmt_secs(incr_secs),
             &format!("{ckpt_speedup:.1}x"),
         ]);
-        rows.push(Value::object([
-            ("pool_size", n.to_value()),
-            ("cold_secs", cold_secs.to_value()),
-            ("snapshot_secs", snap_secs.to_value()),
-            ("speedup", speedup.to_value()),
-            ("snapshot_restores", snap_restores.to_value()),
-            ("checkpoint_pools", fleet.to_value()),
-            ("checkpoint_written", churned.to_value()),
-            ("checkpoint_full_secs", full_secs.to_value()),
-            ("checkpoint_incremental_secs", incr_secs.to_value()),
-            ("checkpoint_speedup", ckpt_speedup.to_value()),
-        ]));
+        rows.push(stamped(
+            &commit,
+            vec![
+                ("pool_size", n.to_value()),
+                ("register_secs", register.to_value()),
+                ("eps_sort_secs", eps_sort.to_value()),
+                ("greedy_sort_secs", greedy_sort.to_value()),
+                ("altrm_scan_secs", scan.to_value()),
+                ("cold_secs", cold_secs.to_value()),
+                ("snapshot_secs", snap_secs.to_value()),
+                ("speedup", speedup.to_value()),
+                ("snapshot_restores", snap_restores.to_value()),
+                ("checkpoint_pools", fleet.to_value()),
+                ("checkpoint_written", churned.to_value()),
+                ("checkpoint_full_secs", full_secs.to_value()),
+                ("checkpoint_incremental_secs", incr_secs.to_value()),
+                ("checkpoint_speedup", ckpt_speedup.to_value()),
+            ],
+        ));
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -221,17 +280,20 @@ fn main() {
         .ok()
         .and_then(|text| json::parse(&text).ok())
         .unwrap_or_else(|| Value::object([("bench", "service_throughput".to_value())]));
+    let mut history = other_commits(&doc, "restart", "results", &commit);
+    history.extend(rows);
     let section = Value::object([
         (
             "workload",
             "restart-to-first-answer (AltrM, one pool): cold warm-build vs verified \
-             snapshot restore, best of repeats, registration clone pre-staged; plus \
+             snapshot restore, best of repeats, registration clone pre-staged; the cold \
+             build's phases (register, eps sort, greedy sort, AltrM scan) timed alone; plus \
              incremental-checkpoint economics over a 100-pool fleet with ~1% churn \
-             between commits"
+             between commits. Rows are stamped with commit and nproc and kept across commits"
                 .to_value(),
         ),
         ("pool_sizes", Value::Array(sizes.iter().map(|n| n.to_value()).collect())),
-        ("results", Value::Array(rows)),
+        ("results", Value::Array(history)),
     ]);
     if let Value::Object(fields) = &mut doc {
         fields.retain(|(key, _)| key != "restart");

@@ -10,12 +10,15 @@
 //!   experiments (Figures 3(g)–3(i)), built once per size through the
 //!   full parse → rank → normalise pipeline;
 //! * [`timing`] — wall-clock measurement helpers for the efficiency
-//!   figures.
+//!   figures;
+//! * [`history`] — commit and core-count stamps that turn a
+//!   `BENCH_service.json` section into a history of measurements.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+pub mod history;
 pub mod report;
 pub mod timing;
 pub mod twitter;

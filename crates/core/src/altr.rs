@@ -134,8 +134,8 @@ impl AltrAlg {
     }
 
     /// The scratch-threaded form of [`AltrAlg::solve`]: bit-identical
-    /// results; with warm buffers the only allocation is the returned
-    /// [`Selection`].
+    /// results; with warm buffers the only allocations are the visit-order
+    /// sort's key pairs and the returned [`Selection`].
     pub fn solve_with(
         &self,
         pool: &[Juror],
@@ -237,11 +237,31 @@ impl AltrAlg {
         let SolverScratch { eps, pmf, bounds, .. } = scratch;
         eps.clear();
         eps.extend(order.iter().map(|&i| pool[i].epsilon()));
-        let (best_n, best_jer, stats) = scan_pruned(eps, pmf, bounds);
-        let mut members: Vec<usize> = order[..best_n].to_vec();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&i| pool[i].cost).sum();
-        Ok(Selection { members, jer: best_jer, total_cost, stats })
+        Ok(pruned_selection(pool, order, eps, pmf, bounds))
+    }
+
+    /// [`AltrAlg::solve_pruned`] over an ε run the caller already holds:
+    /// `eps_sorted[r]` must be `pool[order[r]].epsilon()`, as a serving
+    /// layer's cache keeps it. It skips gathering the run into the
+    /// scratch, and the scratch copy of it; results are bit-identical,
+    /// stats included.
+    ///
+    /// # Errors
+    /// [`JuryError::EmptyPool`] when `pool` is empty.
+    pub fn solve_pruned_sorted(
+        &self,
+        pool: &[Juror],
+        order: &[usize],
+        eps_sorted: &[f64],
+        scratch: &mut SolverScratch,
+    ) -> Result<Selection, JuryError> {
+        if pool.is_empty() {
+            return Err(JuryError::EmptyPool);
+        }
+        debug_assert_eq!(order.len(), pool.len(), "order must cover the pool");
+        debug_assert_eq!(eps_sorted.len(), order.len(), "the run must align with the order");
+        let SolverScratch { pmf, bounds, .. } = scratch;
+        Ok(pruned_selection(pool, order, eps_sorted, pmf, bounds))
     }
 
     /// Algorithm 3 over an ε-sorted visit order: fills `eps` from the
@@ -428,6 +448,22 @@ fn scan_pruned(
         }
     }
     (best_n, best_jer, stats)
+}
+
+/// [`scan_pruned`] over `eps_sorted` (aligned with `order`), wrapped as
+/// the [`Selection`] of pool positions.
+fn pruned_selection(
+    pool: &[Juror],
+    order: &[usize],
+    eps_sorted: &[f64],
+    pmf: &mut PoiBin,
+    lower: &mut Vec<f64>,
+) -> Selection {
+    let (best_n, best_jer, stats) = scan_pruned(eps_sorted, pmf, lower);
+    let mut members: Vec<usize> = order[..best_n].to_vec();
+    members.sort_unstable();
+    let total_cost = members.iter().map(|&i| pool[i].cost).sum();
+    Selection { members, jer: best_jer, total_cost, stats }
 }
 
 /// Pass 1 of [`scan_pruned`]: writes each odd size's certified lower
@@ -761,13 +797,23 @@ mod tests {
 
     #[test]
     fn fixed_size_matches_profile_entry() {
-        let rates = [0.31, 0.18, 0.44, 0.27, 0.09, 0.36, 0.22];
-        let pool = pool_from_rates(&rates).unwrap();
-        let profile = AltrAlg::jer_profile(&pool);
-        for (n, jer) in profile {
-            let sel = AltrAlg::solve_fixed_size(&pool, n).unwrap();
-            assert!((sel.jer - jer).abs() < 1e-12, "n={n}");
-            assert_eq!(sel.size(), n);
+        // The second pool is long and reliable enough that its JERs drop
+        // far below CBA's absolute error floor.
+        let long: Vec<f64> =
+            (0..1_001).map(|i| 0.1 + 0.2 * ((i * 37) % 1_001) as f64 / 1_001.0).collect();
+        for rates in [&[0.31, 0.18, 0.44, 0.27, 0.09, 0.36, 0.22][..], &long] {
+            let pool = pool_from_rates(rates).unwrap();
+            let profile = AltrAlg::jer_profile(&pool);
+            for (n, jer) in profile.into_iter().filter(|&(n, _)| n < 8 || n % 200 == 1) {
+                let sel = AltrAlg::solve_fixed_size(&pool, n).unwrap();
+                assert!(jer > 0.0, "n={n}");
+                assert!(
+                    (sel.jer - jer).abs() < 1e-12f64.min(1e-9 * jer),
+                    "n={n}: {} vs {jer}",
+                    sel.jer
+                );
+                assert_eq!(sel.size(), n);
+            }
         }
     }
 
@@ -805,6 +851,10 @@ mod tests {
         let alg = AltrAlg::default();
         let full = alg.solve_presorted(pool, &order, &mut SolverScratch::new()).unwrap();
         let pruned = alg.solve_pruned(pool, &order, &mut SolverScratch::new()).unwrap();
+        let eps: Vec<f64> = order.iter().map(|&i| pool[i].epsilon()).collect();
+        let held = alg.solve_pruned_sorted(pool, &order, &eps, &mut SolverScratch::new()).unwrap();
+        assert_eq!(held, pruned, "{ctx}: a held run solves like a gathered one");
+        assert_eq!(held.jer.to_bits(), pruned.jer.to_bits(), "{ctx}: held-run jer bits");
         assert_eq!(pruned.members, full.members, "{ctx}: members");
         assert_eq!(pruned.jer.to_bits(), full.jer.to_bits(), "{ctx}: jer bits");
         assert_eq!(pruned.total_cost.to_bits(), full.total_cost.to_bits(), "{ctx}: cost bits");

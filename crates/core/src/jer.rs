@@ -9,7 +9,7 @@
 //! | [`JerEngine::DynamicProgramming`] | Lemma 1 / Algorithm 1 | `O(n²)` time, `O(n)` space |
 //! | [`JerEngine::TailDp`] | Algorithm 1, literal two-vector form | `O(n²)` time, `O(n)` space |
 //! | [`JerEngine::Convolution`] | Algorithm 2 (CBA) | `O(n log n)` |
-//! | [`JerEngine::Auto`] | — | picks DP below ~64 jurors, CBA above |
+//! | [`JerEngine::Auto`] | — | DP below ~64 jurors; CBA above, `O(n log n)`, while the tail stays above CBA's error floor, then a CBA pass plus the `O(n²)` DP |
 //!
 //! `DynamicProgramming` materialises the full pmf (useful when the caller
 //! also wants the distribution); `TailDp` computes only the tail, exactly
@@ -43,6 +43,21 @@ impl JerScratch {
 /// criterion bench regenerates the crossover.
 pub const AUTO_CBA_THRESHOLD: usize = 64;
 
+/// Relative error [`JerEngine::Auto`] allows itself against
+/// [`JerEngine::DynamicProgramming`] wherever the DP tail is a normal
+/// float.
+pub const AUTO_RELATIVE_TOLERANCE: f64 = 1e-9;
+
+/// The smallest CBA tail over `n` jurors that [`JerEngine::Auto`] keeps.
+///
+/// CBA's absolute error on a tail stays below `n·ε_mach` (measured at
+/// about `0.005·n·ε_mach` up to 8,001 jurors), so a tail at least
+/// `n·ε_mach / AUTO_RELATIVE_TOLERANCE` is within that relative error.
+/// Below this floor `Auto` recomputes the tail with the sequential DP.
+fn cba_trust_floor(n: usize) -> f64 {
+    n as f64 * f64::EPSILON / AUTO_RELATIVE_TOLERANCE
+}
+
 /// Strategy for computing JER from individual error rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JerEngine {
@@ -56,8 +71,30 @@ pub enum JerEngine {
     TailDp,
     /// Algorithm 2 — divide & conquer with FFT convolution
     /// (`O(n log n)`).
+    ///
+    /// The FFT merges leave an *absolute* error on every tail, up to
+    /// about `n·ε_mach` over `n` jurors (around `1e-16` at `10³`). A true
+    /// JER below that comes back as round-off noise: for 1,001 rates in
+    /// `[0.1, 0.3)` this engine returns about `1e-16` where the exact
+    /// value is about `1e-102`. Use [`JerEngine::Auto`] or the DP engines
+    /// for small error rates.
     Convolution,
-    /// Adaptive default: DP for small juries, CBA for large.
+    /// Adaptive default: DP for small juries, CBA for large ones, and DP
+    /// again whenever the CBA tail falls below CBA's error floor. Agrees
+    /// with [`JerEngine::DynamicProgramming`] within
+    /// [`AUTO_RELATIVE_TOLERANCE`] wherever the DP tail is a normal float.
+    ///
+    /// Below the floor (`n·ε_mach / 1e-9`, about `2e-4` at 1,000 jurors,
+    /// which nearly every reliable large jury is under) a call costs the
+    /// CBA pass *plus* the `O(n²)` DP. On a 2-vCPU x86-64 VM, with rates
+    /// in `[0.1, 0.3)`, one call took 1.1 ms at 1,001 jurors and 0.18 s
+    /// at 10⁴ (CBA alone: 0.38 ms and 12 ms); rates in `[0.35, 0.5)` took
+    /// 0.51 s at 10⁴. Scans that evaluate every prefix with it
+    /// ([`AltrStrategy::PaperRecompute`](crate::altr::AltrStrategy))
+    /// become `O(n³)`: 3.8 s at 3,001 such jurors and 162 s at 10⁴
+    /// (CBA alone: 1.1 s and 17 s, but its noise picked a jury whose
+    /// true JER is not the smallest). [`JerEngine::Convolution`] keeps
+    /// them `O(n² log n)` at the price of the absolute error noted there.
     #[default]
     Auto,
 }
@@ -119,12 +156,14 @@ impl JerEngine {
                 }
             }
             JerEngine::Auto => {
-                if eps.len() < AUTO_CBA_THRESHOLD {
-                    scratch.pmf.assign_error_rates_dp(eps);
-                    scratch.pmf.tail(threshold)
-                } else {
-                    PoiBin::from_error_rates_cba(eps).tail(threshold)
+                if eps.len() >= AUTO_CBA_THRESHOLD {
+                    let tail = PoiBin::from_error_rates_cba(eps).tail(threshold);
+                    if tail >= cba_trust_floor(eps.len()) {
+                        return tail;
+                    }
                 }
+                scratch.pmf.assign_error_rates_dp(eps);
+                scratch.pmf.tail(threshold)
             }
         }
     }
@@ -256,6 +295,19 @@ mod tests {
         let exact = JerEngine::Auto.jer(&eps);
         assert!(lb <= exact + 1e-12, "{lb} > {exact}");
         assert!(jer_gamma(&eps) < 1.0);
+    }
+
+    #[test]
+    fn auto_falls_back_below_the_cba_error_floor() {
+        // A reliable jury: the true JER is about 1e-22, far below what
+        // CBA resolves, so Auto must return the DP's bits.
+        let eps: Vec<f64> = (0..201).map(|i| 0.1 + 0.2 * ((i * 37) % 100) as f64 / 100.0).collect();
+        let dp = JerEngine::DynamicProgramming.jer(&eps);
+        assert!(dp < cba_trust_floor(eps.len()));
+        assert_eq!(JerEngine::Auto.jer(&eps).to_bits(), dp.to_bits());
+        // A coin-flip jury keeps the CBA tail.
+        let coin = vec![0.5; 201];
+        assert_eq!(JerEngine::Auto.jer(&coin), JerEngine::Convolution.jer(&coin));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::error::JuryError;
 use crate::jer::JerEngine;
 use crate::juror::Juror;
 use crate::problem::{Selection, SolverStats};
-use crate::solver::{Solver, SolverScratch};
+use crate::solver::{visit_order, Solver, SolverScratch, VisitOrder};
 use jury_numeric::poibin::PoiBin;
 
 /// Configuration for [`PayAlg::solve`].
@@ -108,15 +108,17 @@ impl PayAlg {
     /// index — deterministic). The order depends only on the pool, not
     /// the budget, so a serving layer caches it per pool and replays it
     /// across tasks via [`PayAlg::solve_presorted`].
+    ///
+    /// The permutation is exactly the one [`PayAlg::greedy_cmp`] defines,
+    /// computed by [`visit_order`] (which reuses `order`'s buffer when it
+    /// has room).
     pub fn greedy_order_into(pool: &[Juror], order: &mut Vec<usize>) {
-        order.clear();
-        order.extend(0..pool.len());
-        order.sort_by(|&a, &b| Self::greedy_cmp(pool, a, b));
+        visit_order(pool, 0..pool.len(), VisitOrder::Greedy, order);
     }
 
     /// The scratch-threaded form of [`PayAlg::solve`]: bit-identical
-    /// results; with warm buffers the only allocation is the returned
-    /// [`Selection`].
+    /// results; with warm buffers the only allocations are the visit-order
+    /// sort's key pairs and the returned [`Selection`].
     pub fn solve_with(
         &self,
         pool: &[Juror],

@@ -119,11 +119,92 @@ pub fn eps_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
 /// Pool indices sorted ascending by ε (ties by index for determinism),
 /// written into `order` — the shared first step of AltrALG and the
 /// fixed-size selector; public so serving layers can cache the order per
-/// pool.
+/// pool. The permutation is exactly the one [`eps_cmp`] defines; see
+/// [`visit_order`] for how it is computed and when `order`'s buffer is
+/// reused.
 pub fn sorted_order_into(pool: &[Juror], order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..pool.len());
-    order.sort_by(|&a, &b| eps_cmp(pool, a, b));
+    visit_order(pool, 0..pool.len(), VisitOrder::Eps, order);
+}
+
+/// One of the two solver visit orders over pool positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VisitOrder {
+    /// ε ascending: [`eps_cmp`].
+    Eps,
+    /// PayALG's greedy order: [`PayAlg::greedy_cmp`](crate::paym::PayAlg::greedy_cmp).
+    Greedy,
+}
+
+/// Sorts `positions` (distinct indices into `pool`) under `order`'s
+/// comparator and writes them, in that order, into `out`.
+///
+/// The comparators stay the definition of both orders; this computes the
+/// same permutation faster. Each position's primary float key (ε, or
+/// `ε·r` for the greedy order) is mapped once onto a `u64` whose unsigned
+/// order is `f64::total_cmp`'s order, and 16-byte `(key, position)` pairs
+/// are sorted without touching `pool` again. For ε that pair order *is*
+/// [`eps_cmp`] (equal keys fall back to the position). For the greedy
+/// order each run of equal keys is re-sorted with the full
+/// [`PayAlg::greedy_cmp`](crate::paym::PayAlg::greedy_cmp) tie-break
+/// chain. Positions are stored as `u32`, like juror ids.
+///
+/// When `out` already has room for every position its buffer is reused
+/// and the pairs are freed after the copy. Otherwise the pairs are
+/// turned into the order in their own buffer, which is then shrunk to
+/// fit, so a cold sort touches no more memory than the pairs themselves
+/// (16 bytes a position; a comparator sort needs 8 for the order plus up
+/// to 8 of merge scratch).
+///
+/// # Panics
+/// Panics if a position does not fit in a `u32`.
+pub fn visit_order(
+    pool: &[Juror],
+    positions: impl ExactSizeIterator<Item = usize>,
+    order: VisitOrder,
+    out: &mut Vec<usize>,
+) {
+    let key = match order {
+        VisitOrder::Eps => |j: &Juror| j.epsilon(),
+        VisitOrder::Greedy => |j: &Juror| j.greedy_key(),
+    };
+    let n = positions.len();
+    // One spare pair: the half of the buffer the final shrink releases is
+    // then large enough to take an n-entry f64 vector and its allocator
+    // header (the ε rates a flat cache builds next), instead of leaving a
+    // hole just too small for it.
+    let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(n + 1);
+    pairs.extend(positions.map(|i| {
+        let pos = u32::try_from(i).expect("pool positions fit in u32");
+        (total_order_key(key(&pool[i])), pos)
+    }));
+    pairs.sort_unstable();
+    if order == VisitOrder::Greedy {
+        for run in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+            run.sort_unstable_by(|a, b| {
+                crate::paym::PayAlg::greedy_cmp(pool, a.1 as usize, b.1 as usize)
+            });
+        }
+    }
+    if out.capacity() >= n {
+        out.clear();
+        out.extend(pairs.iter().map(|&(_, i)| i as usize));
+    } else {
+        *out = pairs.into_iter().map(|(_, i)| i as usize).collect();
+        out.shrink_to_fit();
+    }
+}
+
+/// Maps `x` onto a `u64` whose unsigned order is [`f64::total_cmp`]'s
+/// order: negative values have every bit flipped, the rest only the sign
+/// bit. Equal keys mean bit-identical floats.
+#[inline]
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]
@@ -187,10 +268,46 @@ mod tests {
     }
 
     #[test]
+    fn total_order_key_follows_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sorted_order_reuses_and_sorts() {
         let pool = pool_from_rates(&[0.4, 0.1, 0.3, 0.1]).unwrap();
         let mut order = vec![99; 32];
+        let buffer = order.as_ptr();
         sorted_order_into(&pool, &mut order);
         assert_eq!(order, vec![1, 3, 2, 0]);
+        assert_eq!(order.as_ptr(), buffer, "a buffer with room is reused");
+        let mut fresh = Vec::new();
+        sorted_order_into(&pool, &mut fresh);
+        assert_eq!(fresh, order);
+        assert_eq!(fresh.capacity(), pool.len(), "a fresh order is shrunk to fit");
     }
 }

@@ -96,6 +96,24 @@ fn large_jury_engines_agree_to_high_precision() {
 }
 
 #[test]
+fn auto_matches_the_dp_on_reliable_large_juries() {
+    // Rates in [0.1, 0.3): the true JER falls far below CBA's absolute
+    // error floor (about 1e-16), where the FFT path alone returned noise
+    // (2.4e-16 against 1.9e-102 at n = 1,001).
+    for n in [801usize, 1_001, 2_001] {
+        let eps: Vec<f64> =
+            (0..n).map(|i| 0.1 + 0.2 * ((i * 7_919) % n) as f64 / n as f64).collect();
+        let dp = JerEngine::DynamicProgramming.jer(&eps);
+        assert!(dp.is_normal() && dp < 1e-60, "n={n}: the DP tail {dp:e} must be a tiny normal");
+        let auto = JerEngine::Auto.jer(&eps);
+        assert!(
+            (auto - dp).abs() <= 1e-9 * dp,
+            "n={n}: Auto {auto:e} vs DynamicProgramming {dp:e}"
+        );
+    }
+}
+
+#[test]
 fn extreme_rates_remain_stable() {
     // Near-degenerate rates probe clamping and cancellation paths.
     let eps = [1e-9, 1e-9, 1.0 - 1e-9];

@@ -20,6 +20,26 @@
 //! The tail-only recurrence of the paper's Algorithm 1, which never builds
 //! the pmf and uses two rolling vectors, lives in [`tail_probability_dp`].
 //!
+//! # The non-zero window
+//!
+//! Every [`PoiBin`] tracks a window `[lo, hi]` of its pmf, and every entry
+//! outside the window is exactly `+0.0` (its IEEE-754 bits are zero).
+//! Every constructor and mutator re-establishes the window; it is tight
+//! (both ends hold non-zero bits) except for a pmf with no non-zero entry
+//! at all, which cannot pass validation. [`PoiBin::push`] and
+//! [`PoiBin::tail`] touch only the window. On long sorted scans the
+//! pmf's ends underflow to zero, so the window is a fraction of the pmf.
+//! The upper end does so only while the rates stay below ½: the smallest
+//! subnormal times a rate of at least ½ rounds back to itself, so from
+//! there on the top of the window is a band of subnormals.
+//!
+//! Skipping the zeros changes no bit of any result. Outside the window the
+//! full-width update computes `0·q + 0·e = +0`, which is what the entry
+//! already holds. Adding `+0` to a Neumaier sum keeps its running sum
+//! exactly, and its compensation can never be `−0` (it starts at `+0`,
+//! and an IEEE sum is `−0` only when both addends are `−0`), so the
+//! compensation keeps every bit too.
+//!
 //! # Factor deconvolution and its error analysis
 //!
 //! A Poisson-Binomial pmf is the coefficient vector of the product
@@ -121,10 +141,21 @@ pub const CBA_BASE_CASE: usize = 16;
 /// Invariants maintained by every constructor:
 /// * `pmf.len() == n + 1` where `n` is the number of success probabilities;
 /// * every entry is a probability in `[0, 1]`;
-/// * entries sum to 1 within a few hundred ulps.
-#[derive(Debug, Clone, PartialEq)]
+/// * entries sum to 1 within a few hundred ulps;
+/// * `lo <= hi < pmf.len()`, and every entry outside `[lo, hi]` is `+0.0`
+///   (see the module docs on the non-zero window).
+#[derive(Debug, Clone)]
 pub struct PoiBin {
     pmf: Vec<f64>,
+    lo: usize,
+    hi: usize,
+}
+
+/// Equality is pmf equality: the window is derived from the entries.
+impl PartialEq for PoiBin {
+    fn eq(&self, other: &Self) -> bool {
+        self.pmf == other.pmf
+    }
 }
 
 impl Default for PoiBin {
@@ -137,7 +168,22 @@ impl Default for PoiBin {
 impl PoiBin {
     /// Distribution of a sum of zero Bernoullis: the point mass at 0.
     pub fn empty() -> Self {
-        Self { pmf: vec![1.0] }
+        Self { pmf: vec![1.0], lo: 0, hi: 0 }
+    }
+
+    /// Wraps a finished pmf buffer, deriving its non-zero window.
+    fn wrap(pmf: Vec<f64>) -> Self {
+        let mut out = Self { pmf, lo: 0, hi: 0 };
+        out.rescan_window();
+        out
+    }
+
+    /// Recomputes the tight non-zero window by scanning the whole pmf —
+    /// for constructors and mutators that rewrite every entry.
+    fn rescan_window(&mut self) {
+        let nonzero = |p: &f64| p.to_bits() != 0;
+        self.lo = self.pmf.iter().position(nonzero).unwrap_or(0);
+        self.hi = self.pmf.iter().rposition(nonzero).unwrap_or(self.lo);
     }
 
     /// Builds from success probabilities using the adaptive default:
@@ -175,8 +221,7 @@ impl PoiBin {
             }
             acc[mask.count_ones() as usize].add(p);
         }
-        let pmf = acc.into_iter().map(|s| s.value().clamp(0.0, 1.0)).collect();
-        Self { pmf }
+        Self::wrap(acc.into_iter().map(|s| s.value().clamp(0.0, 1.0)).collect())
     }
 
     /// Sequential dynamic-programming construction.
@@ -186,7 +231,7 @@ impl PoiBin {
     /// `O(n)` auxiliary space. This is the pmf-level equivalent of the
     /// paper's Lemma 1 recurrence.
     pub fn from_error_rates_dp(eps: &[f64]) -> Self {
-        let mut out = Self { pmf: Vec::with_capacity(eps.len() + 1) };
+        let mut out = Self { pmf: Vec::with_capacity(eps.len() + 1), lo: 0, hi: 0 };
         out.assign_error_rates_dp(eps);
         out
     }
@@ -197,18 +242,10 @@ impl PoiBin {
     /// a warmed buffer the call performs no heap allocation.
     pub fn assign_error_rates_dp(&mut self, eps: &[f64]) {
         validate(eps);
-        let pmf = &mut self.pmf;
-        pmf.clear();
-        pmf.reserve(eps.len() + 1);
-        pmf.push(1.0);
+        self.reset();
+        self.pmf.reserve(eps.len());
         for &e in eps {
-            let q = 1.0 - e;
-            pmf.push(pmf[pmf.len() - 1] * e);
-            // Walk downwards so pmf[k-1] is still the pre-update value.
-            for k in (1..pmf.len() - 1).rev() {
-                pmf[k] = pmf[k] * q + pmf[k - 1] * e;
-            }
-            pmf[0] *= q;
+            self.push_unchecked(e);
         }
     }
 
@@ -217,6 +254,8 @@ impl PoiBin {
     pub fn reset(&mut self) {
         self.pmf.clear();
         self.pmf.push(1.0);
+        self.lo = 0;
+        self.hi = 0;
     }
 
     /// Makes `self` a copy of `other`, reusing the existing allocation
@@ -225,6 +264,8 @@ impl PoiBin {
     pub fn copy_from(&mut self, other: &Self) {
         self.pmf.clear();
         self.pmf.extend_from_slice(&other.pmf);
+        self.lo = other.lo;
+        self.hi = other.hi;
     }
 
     /// Convolution-Based Algorithm (paper Algorithm 2).
@@ -235,14 +276,14 @@ impl PoiBin {
     /// (see [`ConvStrategy::Adaptive`]).
     pub fn from_error_rates_cba(eps: &[f64]) -> Self {
         validate(eps);
-        Self { pmf: cba_recurse(eps, ConvStrategy::Adaptive) }
+        Self::wrap(cba_recurse(eps, ConvStrategy::Adaptive))
     }
 
     /// CBA with a forced convolution strategy — used by the ablation bench
     /// that measures the direct-vs-FFT cutoff.
     pub fn from_error_rates_cba_with(eps: &[f64], strategy: ConvStrategy) -> Self {
         validate(eps);
-        Self { pmf: cba_recurse(eps, strategy) }
+        Self::wrap(cba_recurse(eps, strategy))
     }
 
     /// Wraps an existing pmf.
@@ -258,7 +299,7 @@ impl PoiBin {
         );
         let total: f64 = pmf.iter().copied().collect::<KahanSum>().value();
         assert!((total - 1.0).abs() < 1e-6, "pmf must sum to 1 (got {total})");
-        Self { pmf }
+        Self::wrap(pmf)
     }
 
     /// Non-panicking [`PoiBin::from_pmf`] for untrusted inputs (wire
@@ -270,7 +311,7 @@ impl PoiBin {
             return None;
         }
         let total: f64 = pmf.iter().copied().collect::<KahanSum>().value();
-        ((total - 1.0).abs() < 1e-6).then_some(Self { pmf })
+        ((total - 1.0).abs() < 1e-6).then(|| Self::wrap(pmf))
     }
 
     /// Number of underlying Bernoulli trials (jury size).
@@ -310,17 +351,19 @@ impl PoiBin {
     }
 
     /// Upper tail `Pr(C ≥ k)` summed with compensation from the smallest
-    /// terms first (the tail entries) to limit cancellation.
+    /// terms first (the tail entries) to limit cancellation. Only the
+    /// non-zero window is summed; the `+0` entries outside it would not
+    /// change a bit (module docs).
     pub fn tail(&self, k: usize) -> f64 {
         if k == 0 {
             return 1.0;
         }
-        if k > self.n() {
+        if k > self.hi {
             return 0.0;
         }
         let mut s = KahanSum::new();
         // Sum from the far tail towards k: smallest magnitudes first.
-        for &p in self.pmf[k..].iter().rev() {
+        for &p in self.pmf[k.max(self.lo)..=self.hi].iter().rev() {
             s.add(p);
         }
         s.value().clamp(0.0, 1.0)
@@ -368,22 +411,66 @@ impl PoiBin {
     /// Panics if `e` is not a probability.
     pub fn push(&mut self, e: f64) {
         assert!(is_probability(e), "error rate must be in [0,1], got {e}");
+        self.push_unchecked(e);
+    }
+
+    /// [`PoiBin::push`] without the rate check: the update
+    /// `pmf[k] ← pmf[k]·q + pmf[k−1]·e` over the window grown by one
+    /// entry, walking downwards so `pmf[k−1]` is still the pre-update
+    /// value. Entries outside the window stay `+0`, exactly what the
+    /// full-width update would write there.
+    fn push_unchecked(&mut self, e: f64) {
+        /// Entries per block: a block copies its `BLOCK + 1` old values
+        /// out first, so its updates carry no dependency and vectorise.
+        const BLOCK: usize = 8;
         let q = 1.0 - e;
-        self.pmf.push(self.pmf[self.pmf.len() - 1] * e);
-        for k in (1..self.pmf.len() - 1).rev() {
-            self.pmf[k] = self.pmf[k] * q + self.pmf[k - 1] * e;
+        let len = self.pmf.len();
+        // The new top entry, as the full-width update computes it (it is
+        // `+0` whenever the old top lies outside the window, bar `e = −0`).
+        let top = self.pmf[len - 1] * e;
+        self.pmf.push(top);
+        let (lo, hi) = (self.lo, self.hi);
+        // Updated range: [start, end); the old top is updated, the new
+        // top was just written.
+        let start = lo.max(1);
+        let mut end = (hi + 2).min(len);
+        let pmf = &mut self.pmf[..];
+        while end >= start + BLOCK {
+            let base = end - BLOCK;
+            let mut old = [0.0; BLOCK + 1];
+            old.copy_from_slice(&pmf[base - 1..end]);
+            for (p, pair) in pmf[base..end].iter_mut().zip(old.windows(2)) {
+                *p = pair[1] * q + pair[0] * e;
+            }
+            end = base;
         }
-        self.pmf[0] *= q;
+        for k in (start..end).rev() {
+            pmf[k] = pmf[k] * q + pmf[k - 1] * e;
+        }
+        if lo == 0 {
+            pmf[0] *= q;
+        }
+        // The grown window, then trimmed to non-zero ends.
+        let mut hi = if top.to_bits() != 0 { len } else { hi + 1 };
+        let mut lo = lo;
+        while lo < hi && pmf[lo].to_bits() == 0 {
+            lo += 1;
+        }
+        while hi > lo && pmf[hi].to_bits() == 0 {
+            hi -= 1;
+        }
+        self.lo = lo;
+        self.hi = hi;
     }
 
     /// Merges two independent counts: the distribution of `C₁ + C₂`.
     pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            pmf: convolve_with(&self.pmf, &other.pmf, ConvStrategy::Adaptive)
+        Self::wrap(
+            convolve_with(&self.pmf, &other.pmf, ConvStrategy::Adaptive)
                 .into_iter()
                 .map(|p| p.clamp(0.0, 1.0))
                 .collect(),
-        }
+        )
     }
 
     /// The workspace form of [`PoiBin::merge`]: writes the distribution of
@@ -395,6 +482,7 @@ impl PoiBin {
         for p in &mut out.pmf {
             *p = p.clamp(0.0, 1.0);
         }
+        out.rescan_window();
     }
 
     /// Divides one Bernoulli factor with success probability `p` back out
@@ -463,6 +551,7 @@ impl PoiBin {
         for r in &mut self.pmf {
             *r = r.clamp(0.0, 1.0);
         }
+        self.rescan_window();
         Ok(())
     }
 
@@ -919,6 +1008,163 @@ mod tests {
     #[should_panic(expected = "zero-trial")]
     fn remove_factor_rejects_empty() {
         let _ = PoiBin::empty().remove_factor(0.3);
+    }
+
+    /// The full-width push every `PoiBin` used before the non-zero
+    /// window: the oracle the windowed kernel must match bit for bit.
+    fn push_full_width(pmf: &mut Vec<f64>, e: f64) {
+        let q = 1.0 - e;
+        pmf.push(pmf[pmf.len() - 1] * e);
+        for k in (1..pmf.len() - 1).rev() {
+            pmf[k] = pmf[k] * q + pmf[k - 1] * e;
+        }
+        pmf[0] *= q;
+    }
+
+    /// The full-width tail that went with [`push_full_width`].
+    fn tail_full_width(pmf: &[f64], k: usize) -> f64 {
+        if k == 0 {
+            return 1.0;
+        }
+        if k > pmf.len() - 1 {
+            return 0.0;
+        }
+        let mut s = KahanSum::new();
+        for &p in pmf[k..].iter().rev() {
+            s.add(p);
+        }
+        s.value().clamp(0.0, 1.0)
+    }
+
+    fn bits(pmf: &[f64]) -> Vec<u64> {
+        pmf.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// The window invariant: in range, `+0` bits outside, non-zero ends.
+    fn assert_window(d: &PoiBin, ctx: &str) {
+        assert!(d.lo <= d.hi && d.hi < d.pmf.len(), "{ctx}: window [{}, {}]", d.lo, d.hi);
+        for (k, p) in d.pmf.iter().enumerate() {
+            if k < d.lo || k > d.hi {
+                assert_eq!(p.to_bits(), 0, "{ctx}: entry {k} outside the window is {p:e}");
+            }
+        }
+        if d.pmf.iter().any(|p| p.to_bits() != 0) {
+            assert_ne!(d.pmf[d.lo].to_bits(), 0, "{ctx}: window start is not tight");
+            assert_ne!(d.pmf[d.hi].to_bits(), 0, "{ctx}: window end is not tight");
+        }
+    }
+
+    #[test]
+    fn windowed_kernel_matches_the_full_width_oracle_bit_for_bit() {
+        // 4,000 reliable rates underflow the upper end, the 0.9s that
+        // follow underflow the lower end; 0, 1/2 and 1 ride along.
+        let mut rates: Vec<f64> = vec![0.02; 4_000];
+        rates.extend(std::iter::repeat_n(0.9, 3_000));
+        for (i, special) in [0.0, 0.5, 1.0, 0.0, 0.5, 1.0, 0.5].into_iter().enumerate() {
+            rates.insert(250 + i * 997, special);
+        }
+        assert_push_run_matches_oracle(&rates);
+    }
+
+    #[test]
+    fn a_negative_zero_rate_matches_the_oracle() {
+        // `-0` passes the rate check; `+0·(-0) = -0` makes the new top
+        // entry non-zero bits, so the window must reach the top.
+        let mut rates = vec![0.3; 40];
+        rates.insert(5, -0.0);
+        rates.insert(20, 1.0);
+        assert_push_run_matches_oracle(&rates);
+    }
+
+    /// Pushes `rates` into a `PoiBin` and the full-width oracle side by
+    /// side, comparing pmf bits, the window and tails as it goes.
+    fn assert_push_run_matches_oracle(rates: &[f64]) {
+        let mut d = PoiBin::empty();
+        let mut oracle = vec![1.0];
+        let mut underflowed = (false, false);
+        for (i, &e) in rates.iter().enumerate() {
+            d.push(e);
+            push_full_width(&mut oracle, e);
+            let n = i + 1;
+            if n % 2 == 1 || i % 97 == 0 {
+                assert_eq!(bits(d.pmf()), bits(&oracle), "pmf bits after push {n}");
+                assert_window(&d, &format!("push {n}"));
+                underflowed.0 |= d.lo > 0;
+                underflowed.1 |= d.hi < d.n();
+                let t = n.div_ceil(2);
+                for k in [t, t + 1, d.lo, d.hi, d.hi + 1, n, n + 1] {
+                    assert_eq!(
+                        d.tail(k).to_bits(),
+                        tail_full_width(&oracle, k).to_bits(),
+                        "tail({k}) after push {n}"
+                    );
+                }
+            }
+        }
+        assert_eq!(bits(d.pmf()), bits(&oracle), "final pmf bits");
+        assert!(rates.len() < 100 || underflowed == (true, true), "long runs underflow both ends");
+    }
+
+    #[test]
+    fn every_constructor_and_mutator_keeps_the_window() {
+        let eps: Vec<f64> = (0..600).map(|i| 0.02 + 0.93 * i as f64 / 600.0).collect();
+        let mut d = PoiBin::from_error_rates_dp(&eps);
+        assert_window(&d, "from_error_rates_dp");
+        d.assign_error_rates_dp(&[0.02; 400]);
+        assert_window(&d, "assign_error_rates_dp");
+        assert!(d.hi < d.n(), "the assigned run must underflow at the high end");
+        assert_window(&PoiBin::from_error_rates_cba(&eps), "from_error_rates_cba");
+        assert_window(&PoiBin::from_error_rates_naive(&eps[..12]), "from_error_rates_naive");
+
+        let mut copy = PoiBin::from_error_rates(&[0.4; 9]);
+        copy.copy_from(&d);
+        assert_window(&copy, "copy_from");
+        assert_eq!((copy.lo, copy.hi), (d.lo, d.hi));
+
+        let mut scratch = ConvScratch::new();
+        let mut merged = PoiBin::empty();
+        d.merge_into(&PoiBin::from_error_rates(&eps[300..]), &mut scratch, &mut merged);
+        assert_window(&merged, "merge_into");
+        assert_window(&d.merge(&copy), "merge");
+
+        let padded = PoiBin::from_pmf(vec![0.0, 0.0, 0.25, 0.5, 0.25, 0.0]);
+        assert_window(&padded, "from_pmf");
+        assert_eq!((padded.lo, padded.hi), (2, 4));
+        let tried = PoiBin::try_from_pmf(vec![0.0, 1.0, 0.0, -0.0]).unwrap();
+        assert_window(&tried, "try_from_pmf");
+        assert_eq!((tried.lo, tried.hi), (1, 3), "-0 has non-zero bits");
+
+        let mut removed = PoiBin::from_error_rates_dp(&eps[..40]);
+        removed.remove_factor(eps[3]).unwrap();
+        assert_window(&removed, "remove_factor");
+        let before = removed.clone();
+        assert!(removed.remove_factor(0.5).is_err());
+        assert_eq!((removed.lo, removed.hi), (before.lo, before.hi), "ill-conditioned is a no-op");
+        let mut absent = PoiBin::from_error_rates_dp(&[0.1, 0.2]);
+        assert!(matches!(absent.remove_factor(0.9), Err(DeconvError::ErrorBudgetExceeded { .. })));
+        assert_window(&absent, "remove_factor reset");
+        assert_eq!((absent.lo, absent.hi), (0, 0));
+
+        let mut replaced = PoiBin::from_error_rates_dp(&eps[..40]);
+        replaced.replace_factor(eps[5], 0.07).unwrap();
+        assert_window(&replaced, "replace_factor");
+
+        d.reset();
+        assert_window(&d, "reset");
+        assert_eq!((d.lo, d.hi), (0, 0));
+    }
+
+    #[test]
+    fn content_hash_of_a_long_push_run_is_pinned() {
+        // Ladder checkpoints in snapshots are verified by this hash, so a
+        // kernel change that moves any pmf bit (FMA, reassociation) must
+        // fail here first. The run underflows at both ends.
+        let mut d = PoiBin::empty();
+        for i in 0..2_000 {
+            d.push(0.02 + 0.93 * i as f64 / 2_000.0);
+        }
+        assert_eq!(d.content_hash(), 0x43a7_3012_0102_0d31);
+        assert_eq!(d.pmf().iter().filter(|&&p| p == 0.0).count(), 490);
     }
 
     #[test]

@@ -16,6 +16,15 @@
 //!   shared, not copied, under [`JuryService::solve_batch_shared`]; a
 //!   warm PayM task is a **budget-staircase** lookup (below), falling
 //!   back to one greedy scan on the cached order.
+//! * **two-thread cold build** — a cold flat pool's build sorts the
+//!   greedy order on a `std::thread::scope` thread while the calling
+//!   thread sorts by ε and runs the AltrM scan (an orders-only build
+//!   runs the two sorts side by side). It does so only when
+//!   [`ServiceConfig::threads`] resolves to more than one worker and the
+//!   pool has at least 4,096 jurors, below which the spawn is a visible
+//!   share of the sort. Both sorts sort precomputed `(key, position)`
+//!   pairs ([`jury_core::solver::visit_order`]), so the orders, and every
+//!   answer built on them, are the ones the comparators define.
 //! * **rescan-free mutation repair** — every juror mutation — *update*,
 //!   *removal* and *insert*, flat or sharded — repairs warm state in
 //!   place instead of invalidating it: every sorted order (flat,
@@ -395,7 +404,7 @@ use jury_core::juror::Juror;
 use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig, Staircase};
 use jury_core::problem::Selection;
-use jury_core::solver::SolverScratch;
+use jury_core::solver::{visit_order, SolverScratch, VisitOrder};
 use jury_numeric::poibin::PoiBin;
 use ladder::PmfLadder;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -563,7 +572,8 @@ impl Deserialize for ServiceError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads for [`JuryService::solve_batch`]
-    /// (0 = one per available core).
+    /// (0 = one per available core). A cold build of a large flat pool
+    /// uses a second thread when this resolves to more than one.
     pub threads: usize,
     /// AltrALG configuration used for AltrM tasks.
     pub altr: AltrConfig,
@@ -1690,6 +1700,7 @@ impl JuryService {
         let altr_config = self.config.altr;
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
+        let threads = self.config.threads;
         // Borrow-split: the scratch is taken out while the entry is
         // borrowed mutably.
         let mut scratch = self.scratches.pop().unwrap_or_default();
@@ -1730,8 +1741,12 @@ impl JuryService {
                             }
                             let (acquired, attached) =
                                 acquire_flat(store, key, jurors, share, || {
-                                    let built =
-                                        build_full_cache(jurors, &altr_config, &mut scratch);
+                                    let built = build_full_cache(
+                                        jurors,
+                                        &altr_config,
+                                        &mut scratch,
+                                        threads,
+                                    );
                                     pruned += altr_pruned(built.altr.as_ref());
                                     builds += 1;
                                     fulls += 1;
@@ -1751,6 +1766,7 @@ impl JuryService {
                                     let answer = solve_altr_cached(
                                         jurors,
                                         &c.eps_order,
+                                        Some(&c.eps_sorted),
                                         &altr_config,
                                         &mut scratch,
                                     );
@@ -1765,6 +1781,7 @@ impl JuryService {
                                         let answer = solve_altr_cached(
                                             jurors,
                                             &sf.link.set.eps_order,
+                                            Some(&sf.link.set.eps_sorted),
                                             &altr_config,
                                             &mut scratch,
                                         );
@@ -1786,6 +1803,7 @@ impl JuryService {
                                                 let ans = solve_altr_cached(
                                                     jurors,
                                                     &view.eps_order,
+                                                    None,
                                                     &altr_config,
                                                     &mut scratch,
                                                 );
@@ -2116,6 +2134,7 @@ impl JuryService {
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let max_age = self.config.max_snapshot_age;
+        let threads = self.config.threads;
         let Self { pools, store, stats, snapshots, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).expect("checked above");
         if let PoolState::Flat { cache } = &mut entry.state {
@@ -2135,7 +2154,7 @@ impl JuryService {
                     );
                 }
                 let (acquired, attached) = acquire_flat(store, key, &entry.jurors, share, || {
-                    build_orders_only(&entry.jurors)
+                    build_orders_only(&entry.jurors, threads)
                 });
                 stats.artifact_share_hits += usize::from(attached);
                 *cache = acquired;
@@ -2445,8 +2464,9 @@ impl JuryService {
 
         // Coarse partitioning: never spawn a worker for fewer than
         // MIN_TASKS_PER_WORKER tasks — see the constant's docs.
-        let threads =
-            self.effective_threads().min(tasks.len().div_ceil(MIN_TASKS_PER_WORKER)).max(1);
+        let threads = effective_threads(self.config.threads)
+            .min(tasks.len().div_ceil(MIN_TASKS_PER_WORKER))
+            .max(1);
         if threads == 1 {
             let mut scratch = self.scratches.pop().unwrap_or_default();
             let out: Vec<_> = match timings {
@@ -2634,13 +2654,6 @@ impl JuryService {
             Some(entry) => solve_on_entry(entry, task, &self.config, scratch),
         }
     }
-
-    fn effective_threads(&self) -> usize {
-        if self.config.threads != 0 {
-            return self.config.threads;
-        }
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-    }
 }
 
 /// Solves AltrM over a cached (or merged) ε-sorted order, with the
@@ -2648,19 +2661,24 @@ impl JuryService {
 /// default [`AltrStrategy::Incremental`] — members, JER and cost are
 /// bit-identical either way (`AltrAlg::solve_pruned`'s contract), only
 /// the [`jury_core::SolverStats`] reflect which scan ran. Other
-/// strategies run the configured presorted scan verbatim. The answer is
-/// wrapped for shared replay.
+/// strategies run the configured presorted scan verbatim. Callers that
+/// hold the ε run aligned with `order` pass it as `eps_sorted`, so the
+/// pruned scan reads it instead of gathering its own copy. The answer
+/// is wrapped for shared replay.
 pub(crate) fn solve_altr_cached(
     jurors: &[Juror],
     order: &[usize],
+    eps_sorted: Option<&[f64]>,
     config: &AltrConfig,
     scratch: &mut SolverScratch,
 ) -> AltrAnswer {
     let alg = AltrAlg::new(*config);
-    let result = if config.strategy == AltrStrategy::Incremental {
-        alg.solve_pruned(jurors, order, scratch)
-    } else {
-        alg.solve_presorted(jurors, order, scratch)
+    let result = match (config.strategy, eps_sorted) {
+        (AltrStrategy::Incremental, Some(eps)) => {
+            alg.solve_pruned_sorted(jurors, order, eps, scratch)
+        }
+        (AltrStrategy::Incremental, None) => alg.solve_pruned(jurors, order, scratch),
+        _ => alg.solve_presorted(jurors, order, scratch),
     };
     result.map(Arc::new)
 }
@@ -2673,24 +2691,98 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
     }
 }
 
+/// The worker count for a configured `threads` (0 = one per available
+/// core). Asking the OS costs system calls, so hot paths resolve it
+/// only when they are about to fan out.
+fn effective_threads(configured: usize) -> usize {
+    if configured != 0 {
+        return configured;
+    }
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+}
+
+/// Smallest pool whose cold build sorts the greedy order on a second
+/// thread. Below it the spawn (tens of µs) is a visible share of the
+/// sort it moves off the critical path. Timed as the median of 401–601
+/// alternating flat cold builds (`create_pool` + `warm_pool`, threads 1
+/// vs 2, on 2 vCPUs), the thread cost 5–54% at 1,024–1,536 jurors, went
+/// either way at 2,048–3,072 (0.69–1.53× as the host's speed drifted),
+/// and won at 4,096 and above in every run (0.68–1.01× at 4,096,
+/// 0.67–0.84× at 6,144–8,192).
+const PARALLEL_BUILD_MIN: usize = 4_096;
+
 /// Builds every eagerly-cached artefact for one flat-pool snapshot:
 /// the sorted orders plus the AltrM answer (profile and ladder stay
-/// lazy).
-fn build_full_cache(jurors: &[Juror], altr: &AltrConfig, scratch: &mut SolverScratch) -> PoolCache {
-    let mut cache = build_orders_only(jurors);
-    cache.altr = Some(solve_altr_cached(jurors, &cache.eps_order, altr, scratch));
+/// lazy). With more than one worker (`threads` as configured, see
+/// [`ServiceConfig::threads`]) and a large pool the greedy order is
+/// sorted on a scoped thread while this one sorts by ε and runs the
+/// AltrM scan.
+fn build_full_cache(
+    jurors: &[Juror],
+    altr: &AltrConfig,
+    scratch: &mut SolverScratch,
+    threads: usize,
+) -> PoolCache {
+    let ((eps_order, eps_sorted, answer), greedy_order) =
+        beside_greedy_order(jurors, threads, || {
+            let (eps_order, eps_sorted) = eps_orders(jurors);
+            let answer = solve_altr_cached(jurors, &eps_order, Some(&eps_sorted), altr, scratch);
+            (eps_order, eps_sorted, answer)
+        });
+    let mut cache = orders_cache(eps_order, eps_sorted, greedy_order);
+    cache.altr = Some(answer);
     cache
 }
 
 /// Builds just the sorted orders (no solve, no profile) — the cache
 /// state an `update_juror` repair also leaves behind; `warm_pool`
-/// completes it with a rescan-free bound-pruned solve on demand.
-fn build_orders_only(jurors: &[Juror]) -> PoolCache {
-    let mut eps_order = Vec::with_capacity(jurors.len());
-    jury_core::solver::sorted_order_into(jurors, &mut eps_order);
+/// completes it with a rescan-free bound-pruned solve on demand. The
+/// two sorts run side by side as in [`build_full_cache`].
+fn build_orders_only(jurors: &[Juror], threads: usize) -> PoolCache {
+    let ((eps_order, eps_sorted), greedy_order) =
+        beside_greedy_order(jurors, threads, || eps_orders(jurors));
+    orders_cache(eps_order, eps_sorted, greedy_order)
+}
+
+/// Runs `work` on this thread and sorts the greedy order beside it: on
+/// a scoped thread when the pool has at least [`PARALLEL_BUILD_MIN`]
+/// jurors and the configured `threads` resolve to more than one worker,
+/// after `work` otherwise.
+fn beside_greedy_order<T>(
+    jurors: &[Juror],
+    threads: usize,
+    work: impl FnOnce() -> T,
+) -> (T, Vec<usize>) {
+    let greedy = || {
+        let mut order = Vec::new();
+        visit_order(jurors, 0..jurors.len(), VisitOrder::Greedy, &mut order);
+        order
+    };
+    if jurors.len() < PARALLEL_BUILD_MIN || effective_threads(threads) < 2 {
+        let done = work();
+        return (done, greedy());
+    }
+    std::thread::scope(|scope| {
+        let sorter = scope.spawn(greedy);
+        let done = work();
+        (done, sorter.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+    })
+}
+
+/// The ε-sorted order and the rates aligned with it.
+fn eps_orders(jurors: &[Juror]) -> (Vec<usize>, Vec<f64>) {
+    let mut eps_order = Vec::new();
+    visit_order(jurors, 0..jurors.len(), VisitOrder::Eps, &mut eps_order);
     let eps_sorted = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-    let mut greedy_order = Vec::with_capacity(jurors.len());
-    PayAlg::greedy_order_into(jurors, &mut greedy_order);
+    (eps_order, eps_sorted)
+}
+
+/// A flat cache holding the two orders and nothing derived yet.
+fn orders_cache(
+    eps_order: Vec<usize>,
+    eps_sorted: Vec<f64>,
+    greedy_order: Vec<usize>,
+) -> PoolCache {
     PoolCache {
         eps_order,
         eps_sorted,
@@ -2831,8 +2923,14 @@ fn solve_on_entry(
         PoolState::Flat { cache } => match (task.model, cache) {
             (CrowdModel::Altruism, FlatCache::Private(cache)) => match cache.altr.as_ref() {
                 Some(answer) => answer.clone().map_err(ServiceError::from),
-                None => solve_altr_cached(&entry.jurors, &cache.eps_order, &config.altr, scratch)
-                    .map_err(ServiceError::from),
+                None => solve_altr_cached(
+                    &entry.jurors,
+                    &cache.eps_order,
+                    Some(&cache.eps_sorted),
+                    &config.altr,
+                    scratch,
+                )
+                .map_err(ServiceError::from),
             },
             (CrowdModel::Altruism, FlatCache::Shared(sf)) => match &sf.view {
                 None => {
@@ -2841,7 +2939,13 @@ fn solve_on_entry(
                     // attached pool.
                     let set = &sf.link.set;
                     set.altr_or_init(|| {
-                        solve_altr_cached(&entry.jurors, &set.eps_order, &config.altr, scratch)
+                        solve_altr_cached(
+                            &entry.jurors,
+                            &set.eps_order,
+                            Some(&set.eps_sorted),
+                            &config.altr,
+                            scratch,
+                        )
                     })
                     .clone()
                     .map_err(ServiceError::from)
@@ -2856,10 +2960,14 @@ fn solve_on_entry(
                             Ok(Arc::new(translate_selection(sel, &view.sigma, &entry.jurors)))
                         }
                         Some(Err(e)) => Err(ServiceError::from(e.clone())),
-                        None => {
-                            solve_altr_cached(&entry.jurors, &view.eps_order, &config.altr, scratch)
-                                .map_err(ServiceError::from)
-                        }
+                        None => solve_altr_cached(
+                            &entry.jurors,
+                            &view.eps_order,
+                            None,
+                            &config.altr,
+                            scratch,
+                        )
+                        .map_err(ServiceError::from),
                     },
                 },
             },
@@ -2901,7 +3009,7 @@ fn solve_on_entry(
                 if let Some(result) = sp.cached_altr() {
                     result.clone().map_err(ServiceError::from)
                 } else if let Some(order) = sp.merged_eps_order() {
-                    solve_altr_cached(&entry.jurors, order, &config.altr, scratch)
+                    solve_altr_cached(&entry.jurors, order, None, &config.altr, scratch)
                         .map_err(ServiceError::from)
                 } else {
                     AltrAlg::new(config.altr)

@@ -58,7 +58,7 @@ use jury_core::juror::Juror;
 use jury_core::merge::kway_merge_by;
 use jury_core::paym::{PayAlg, Staircase};
 use jury_core::problem::Selection;
-use jury_core::solver::{eps_cmp, SolverScratch};
+use jury_core::solver::{eps_cmp, visit_order, SolverScratch, VisitOrder};
 use jury_numeric::conv::ConvScratch;
 use jury_numeric::poibin::PoiBin;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -838,7 +838,7 @@ impl ShardedPool {
         let merged = self.merged.as_mut().expect("warm() must precede ensure_altr");
         if merged.altr.is_none() {
             merged.altr =
-                Some(crate::solve_altr_cached(jurors, &merged.eps_order, config, scratch));
+                Some(crate::solve_altr_cached(jurors, &merged.eps_order, None, config, scratch));
         }
         merged.altr.as_ref().expect("filled above")
     }
@@ -1023,11 +1023,11 @@ fn cache(shard: &Shard) -> &ShardCache {
 /// Sorts one shard's members under both global comparators and lays the
 /// prefix-pmf checkpoint ladder.
 fn build_shard_cache(jurors: &[Juror], members: &[usize]) -> ShardCache {
-    let mut eps_order = members.to_vec();
-    eps_order.sort_by(|&a, &b| eps_cmp(jurors, a, b));
+    let mut eps_order = Vec::new();
+    visit_order(jurors, members.iter().copied(), VisitOrder::Eps, &mut eps_order);
     let eps: Vec<f64> = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-    let mut greedy_order = members.to_vec();
-    greedy_order.sort_by(|&a, &b| PayAlg::greedy_cmp(jurors, a, b));
+    let mut greedy_order = Vec::new();
+    visit_order(jurors, members.iter().copied(), VisitOrder::Greedy, &mut greedy_order);
     let ladder = PmfLadder::build(&eps);
     ShardCache { eps_order, eps, greedy_order, ladder }
 }
@@ -1065,6 +1065,34 @@ mod tests {
                     flat_greedy.as_slice(),
                     "n={n} k={k}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn shard_builds_match_comparator_sorts_on_colliding_keys() {
+        // Equal ε, equal ε·r reached through different costs, and signed
+        // zero costs: every tie-break of both comparators is exercised.
+        let quotes: Vec<(f64, f64)> = (0..240)
+            .map(|i| match i % 4 {
+                0 => (0.3, [0.0, -0.0, 0.5][i % 3]),
+                1 => [(0.2, 0.5), (0.4, 0.25), (0.1, 1.0)][i % 3],
+                2 => (0.5, 0.2),
+                _ => (0.05 + (i as f64 * 0.618) % 0.9, 0.0),
+            })
+            .collect();
+        let jurors = pool_from_rates_and_costs(&quotes).unwrap();
+        for stride in [1usize, 2, 3, 5] {
+            for offset in 0..stride {
+                let members: Vec<usize> = (offset..jurors.len()).step_by(stride).rev().collect();
+                let cache = build_shard_cache(&jurors, &members);
+                let mut want = members.clone();
+                want.sort_by(|&a, &b| eps_cmp(&jurors, a, b));
+                assert_eq!(cache.eps_order, want, "eps, stride {stride} offset {offset}");
+                let rates: Vec<f64> = want.iter().map(|&i| jurors[i].epsilon()).collect();
+                assert_eq!(cache.eps, rates);
+                want.sort_by(|&a, &b| PayAlg::greedy_cmp(&jurors, a, b));
+                assert_eq!(cache.greedy_order, want, "greedy, stride {stride} offset {offset}");
             }
         }
     }
