@@ -4,11 +4,11 @@
 //! `L` most reliable jurors of one ε-sorted run at checkpoint lengths
 //! roughly every [`LADDER_SPACING`] jurors up to [`LADDER_MAX`], so a JER
 //! point query resumes from the nearest checkpoint (`O(n·spacing)` pushes)
-//! instead of rebuilding the prefix distribution from scratch. Both
-//! layouts use it: each shard lays a ladder over its own sorted rates, and
-//! flat pools lay one over the global ε order for
-//! [`jer_probe`](crate::JuryService::jer_probe) and for resuming JER
-//! *profile* repairs.
+//! instead of rebuilding the prefix distribution from scratch. Each shard
+//! lays one over its own sorted rates on the first
+//! [`jer_probe`](crate::JuryService::jer_probe) or profile read; a
+//! one-shard pool's ladder covers the global ε order, so it also resumes
+//! that pool's JER *profile* repairs.
 //!
 //! The repair half is what makes juror mutations cheap:
 //!

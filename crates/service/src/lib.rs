@@ -9,35 +9,42 @@
 //!
 //! * **pool registry** — pools are registered once and addressed by
 //!   [`PoolId`]; jurors can be inserted, updated and removed in place.
-//! * **per-pool cache** — the ε-sorted order, PayALG's greedy visit
-//!   order and the solved AltrM selection are computed once per pool
-//!   *generation* (the prefix-pmf JER profile and checkpoint ladder
-//!   stay lazy until queried). A warm AltrM task is a cache lookup —
+//! * **one warm-state layout** — every pool is a `ShardedPool` of K
+//!   shards: one below [`ShardConfig::threshold`] (the default for every
+//!   pool), [`ShardConfig::shards`] at or above it. The ε-sorted order,
+//!   PayALG's greedy visit order and the solved AltrM selection are
+//!   computed once per pool *generation* (the prefix-pmf JER profile and
+//!   the checkpoint ladders stay lazy until queried). A warm AltrM task is a cache lookup —
 //!   shared, not copied, under [`JuryService::solve_batch_shared`]; a
 //!   warm PayM task is a **budget-staircase** lookup (below), falling
 //!   back to one greedy scan on the cached order.
-//! * **two-thread cold build** — a cold flat pool's build sorts the
-//!   greedy order on a `std::thread::scope` thread while the calling
-//!   thread sorts by ε and runs the AltrM scan (an orders-only build
-//!   runs the two sorts side by side). It does so only when
-//!   [`ServiceConfig::threads`] resolves to more than one worker and the
-//!   pool has at least 4,096 jurors, below which the spawn is a visible
-//!   share of the sort. Both sorts sort precomputed `(key, position)`
-//!   pairs ([`jury_core::solver::visit_order`]), so the orders, and every
-//!   answer built on them, are the ones the comparators define.
+//! * **two-thread cold build** — a cold one-shard pool's build sorts
+//!   the greedy order on a `std::thread::scope` thread while the calling
+//!   thread sorts by ε and runs the AltrM scan over the ε run it just
+//!   built (an orders-only build runs the two sorts side by side). It
+//!   does so only when [`ServiceConfig::threads`] resolves to more than
+//!   one worker and the pool has at least 4,096 jurors, below which the
+//!   spawn is a visible share of the sort; a K-shard pool builds its
+//!   shards on scoped threads instead. Both sorts sort precomputed
+//!   `(key, position)` pairs ([`jury_core::solver::visit_order`]), so
+//!   the orders, and every answer built on them, are the ones the
+//!   comparators define.
 //! * **rescan-free mutation repair** — every juror mutation — *update*,
-//!   *removal* and *insert*, flat or sharded — repairs warm state in
-//!   place instead of invalidating it: every sorted order (flat,
-//!   per-shard and merged) gets one rank-insert (plus one remove for
-//!   updates/removals; `O(n)` memmoves, provably the same permutation a
-//!   re-sort would produce), every affected prefix-pmf checkpoint is
-//!   patched by dividing the juror's `(1−ε, ε)` factor out of the
-//!   Poisson binomial
+//!   *removal* and *insert* — repairs warm state in place instead of
+//!   invalidating it: every sorted run (the owning shard's and, for
+//!   K > 1, the merged orders) gets one rank-insert (plus one remove
+//!   for updates/removals; `O(n)` memmoves, provably the same
+//!   permutation a re-sort would produce); every affected checkpoint of
+//!   a laid prefix-pmf ladder is patched by dividing the juror's
+//!   `(1−ε, ε)` factor out of the Poisson binomial
 //!   ([`jury_numeric::poibin::PoiBin::remove_factor`]; inserts need
 //!   only a push) — `O(n)` per checkpoint instead of
-//!   `O(n·spacing + n log n)` re-convolution — and a materialised JER
-//!   profile reuses every untouched prefix entry verbatim, re-deriving
-//!   only the suffix from the nearest checkpoint.
+//!   `O(n·spacing + n log n)` re-convolution — and a one-shard pool's
+//!   materialised JER profile reuses every untouched prefix entry
+//!   verbatim, re-deriving only the suffix from the nearest checkpoint.
+//!   Ladders are laid by the first [`JuryService::jer_probe`] or
+//!   [`JuryService::jer_profile`] read, never by a cold build, so a
+//!   pool that is only solved pays no ladder work at all.
 //! * **rescan-free warm AltrM** — the one artefact a mutation must drop
 //!   is the solved AltrM answer (the optimum may genuinely move). The
 //!   re-solve is **bound-pruned** ([`AltrAlg::solve_pruned`]): prefix
@@ -50,23 +57,23 @@
 //!   `JER(m) ≥ JER(n)/2`, so a survivor with half its JER above the
 //!   incumbent ends the scan. The cost is `O(N + M²)` for stop point
 //!   `M` instead of the `O(N²)` full prefix rescan. The same scan
-//!   serves cold `warm_pool`, sharded pools and post-mutation
-//!   re-solves.
+//!   serves cold builds and post-mutation re-solves for every K.
 //! * **PayM budget staircase** — Algorithm 4's selection is piecewise
 //!   constant in the budget, so each pool's warm greedy order carries a
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
 //!   covered budget to its selection by binary search, and a miss costs
 //!   exactly one instrumented greedy scan that records a new step.
-//! * **pool sharding** — pools at or above
-//!   [`ShardConfig::threshold`] are partitioned into K shards, each with
-//!   its own ε-sorted order, greedy frontier and prefix Poisson-binomial
-//!   pmf ladder. The global orders are K-way merges of the per-shard
-//!   sorted runs, kept warm across mutations by the in-place repairs
-//!   above; a cold pool's per-shard builds fan out in parallel under
-//!   `std::thread::scope`. Shards hollowed out by skewed churn are
-//!   **re-balanced online**: a degeneracy episode moves members from the
-//!   largest shards into the starved one, repairing both sides' runs
-//!   and ladders in place ([`ServiceStats::shard_rebalances`]).
+//! * **pool sharding** — each shard holds its own ε-sorted run, greedy
+//!   frontier and (once laid) prefix Poisson-binomial pmf ladder. A
+//!   one-shard pool's runs *are* its global orders — no merge, no second
+//!   copy; a K-shard pool's global orders are K-way merges of the runs,
+//!   kept warm across mutations by the in-place repairs above. Shards
+//!   hollowed out by skewed churn are **re-balanced online**: a
+//!   degeneracy episode moves members from the largest shards into the
+//!   starved one, repairing both sides' runs and ladders in place
+//!   ([`ServiceStats::shard_rebalances`]). A one-shard pool growing to
+//!   the threshold is re-partitioned cold, exactly as
+//!   [`JuryService::invalidate_warm`] resets a pool.
 //! * **batched parallel solving** — [`JuryService::solve_batch`] fans a
 //!   slice of [`DecisionTask`]s across scoped worker threads, each with
 //!   its own persistent [`SolverScratch`], so a warm task performs no
@@ -76,8 +83,8 @@
 //!
 //! Selections — members, JER bits, cost bits — are **bit-identical** to
 //! calling [`AltrAlg::solve`] / [`PayAlg::solve`] directly: cold cache,
-//! warm cache, batched, staircase-replayed, bound-pruned, flat and
-//! sharded paths all reduce to the same scratch-threaded solver
+//! warm cache, batched, staircase-replayed, bound-pruned paths over any
+//! shard count all reduce to the same scratch-threaded solver
 //! internals (`tests/equivalence.rs` and
 //! `tests/sharded_differential.rs` assert this). The caching layers sit
 //! on either side of that line:
@@ -116,13 +123,13 @@
 //!
 //! # Sharding invariants
 //!
-//! For sharded pools the bit-identity guarantee rests on three facts:
+//! Bit-identity across shard counts rests on three facts:
 //!
 //! 1. **Orders merge bit-identically.** Both solver visit orders are
 //!    *total* orders with the pool position as final tie-break
 //!    ([`jury_core::solver::eps_cmp`], [`PayAlg::greedy_cmp`]), so the
 //!    sorted permutation is unique: a K-way merge of per-shard sorted
-//!    runs ([`jury_core::merge`]) equals the flat pool's single sort,
+//!    runs ([`jury_core::merge`]) equals a one-shard pool's single sort,
 //!    permutation-for-permutation. The merge only *compares* floats;
 //!    every float *evaluation* (the AltrALG prefix scan, PayALG's pair
 //!    trials) then runs over the identical sequence via
@@ -131,7 +138,7 @@
 //! 2. **Pmfs do not.** Convolving per-shard carelessness distributions
 //!    ([`jury_core`'s `PoiBin::merge_into`]) yields the same
 //!    distribution mathematically but a different float evaluation order
-//!    than the flat path's sequential pushes. Anything contractually
+//!    than sequential pushes over the global run. Anything contractually
 //!    bit-identical therefore never flows through pmf merging; the
 //!    merged-pmf path powers only [`JuryService::jer_probe`], whose
 //!    contract is numerical equality within convolution rounding.
@@ -153,33 +160,32 @@
 //! one interned set. The contract:
 //!
 //! * **What is keyed.** Every artifact set is interned under
-//!   `(fingerprint, layout, solver config)`. The fingerprint is a
+//!   `(fingerprint, shard count, solver config)`. The fingerprint is a
 //!   commutative multiset hash
 //!   ([`jury_core::fingerprint::PoolFingerprint`]) over each juror's
 //!   solver-relevant content — the pair `(ε.to_bits(), cost.to_bits())`;
-//!   juror *ids* are payload and never enter the key. The layout
-//!   separates flat from K-shard artifact shapes; the config covers the
-//!   [`AltrConfig`]/[`PayConfig`] knobs that change solver output.
+//!   juror *ids* are payload and never enter the key. The shard count
+//!   enters the key because per-shard runs are a property of the
+//!   partition; the config covers the [`AltrConfig`]/[`PayConfig`] knobs
+//!   that change solver output.
 //!   Because raw IEEE-754 bits are hashed, the fingerprint is exactly as
 //!   strict as the solvers' `total_cmp` orders (`0.5` vs `0.5 + 1e-12`
 //!   is different content). Maintained incrementally: one
 //!   constant-time hash update per mutation, never a rescan.
 //! * **What is shared.** A pool whose juror sequence equals an entry's
-//!   founding sequence position-for-position shares *everything*: both
-//!   orders, sorted ε values, pmf ladder, JER profile, the Arc'd AltrM
-//!   answer and the (lazily growing, lock-guarded) PayM budget
-//!   staircase. A pool that is a *permutation* of the founding sequence
-//!   still shares every rank-space artifact pointer-equal (sorted ε
-//!   values, ladder, profile, the AltrM answer's JER/cost/stats) and
-//!   derives its position-space orders by an `O(N)` sort-free
-//!   translation; its staircase stays private (recorded selections are
-//!   position-space). Permuted sharing additionally requires the entry
-//!   to be **tie-free** (no equal-ε, different-cost juror pair), which
-//!   makes the translated orders bit-identical to the pool's own sort.
+//!   founding sequence position-for-position shares *everything*: the
+//!   per-shard runs and ladders (when the partitions agree exactly —
+//!   always, for one shard — else the pool builds its own shards), the
+//!   merged orders, the JER profile, the Arc'd AltrM answer and the
+//!   (lazily growing, lock-guarded) PayM budget staircase. A pool holding
+//!   the same jurors in another arrangement has an equal fingerprint but
+//!   a different sequence: it builds privately and never replaces the
+//!   incumbent entry.
 //! * **CoW detach and re-join.** Mutations never write through a shared
-//!   entry: the pool detaches first (sole holders reclaim the artifacts
-//!   zero-copy; pools with siblings clone exactly what the repair will
-//!   touch), the existing in-place repairs run on the private copy, the
+//!   entry: the pool detaches first, and the in-place repairs write
+//!   through `Arc::make_mut` (a sole holder, whose detach evicts the
+//!   entry, repairs zero-copy; a pool with siblings clones exactly the
+//!   runs the repair touches), the
 //!   fingerprint is updated incrementally, and the pool re-joins an
 //!   existing entry if one matches the post-mutation content (verified
 //!   by content comparison, never by hash alone). A pool that detached
@@ -197,15 +203,9 @@
 //!   [`JuryService::jer_profile`] entries remain numerical-contract
 //!   ([`PROBE_REPAIR_TOL`]), and a re-joining pool adopts the entry's
 //!   pmf-lineage artifacts (fresh-built or repaired), which is
-//!   indistinguishable within that same tolerance. For sharded pools
-//!   the store interns the merged-layer artifacts (merged orders, AltrM
-//!   answer, profile) *and* the per-shard layer (owner assignment plus
-//!   every shard's runs and ladder — adopted only when the partitions
-//!   match exactly, since different mutation histories may partition
-//!   equal content differently) for sequence-identical pools; the
-//!   sharded staircase stays per-pool. Adopted shard caches are
-//!   copy-on-write: `Arc::make_mut` at every repair site clones the one
-//!   touched shard off privately.
+//!   indistinguishable within that same tolerance. Adopted shard caches
+//!   are copy-on-write: `Arc::make_mut` at every repair site clones the
+//!   one touched shard off privately.
 //!
 //! Sharing is on by default; [`ServiceConfig::share_artifacts`] turns it
 //! off (the `multi_tenant_throughput` bench measures the difference).
@@ -243,18 +243,18 @@
 //! * **Restores are verified, never trusted.** A snapshot is input,
 //!   not state: before anything is attached the whole file is
 //!   re-checksummed, every section is re-checksummed and decoded, the
-//!   orders are checked to be permutations, sorted ε values re-bound
-//!   bit-for-bit against the registering pool's jurors, the pmf
-//!   ladder's content hash re-derived, shard layouts re-validated
-//!   (the shard layer's owner/cache binding), and the decoded
-//!   juror content compared against the pool's actual content — the
-//!   same `match_pool` comparison the in-memory attach path uses. A
+//!   orders are checked to be permutations and to sort the stored
+//!   sequence by ε, every pmf ladder's content hash re-derived, the
+//!   shard layer's partition re-validated, and the decoded juror
+//!   content compared against the pool's actual content — the same
+//!   sequence comparison the in-memory attach path uses. A
 //!   restored artifact set is therefore indistinguishable from one the
 //!   store built itself, and restored answers are bit-identical to
 //!   cold-built ones.
 //! * **Failure is always a cold build.** Any mismatch — truncation, a
-//!   flipped bit anywhere, a stale manifest, layout or config drift, a
-//!   snapshot of different juror content — rejects that entry and
+//!   flipped bit anywhere, a stale manifest, shard-count or config
+//!   drift, a retired entry format, a snapshot of different juror
+//!   content — rejects that entry and
 //!   falls back to the ordinary cold build. Restore failures are never
 //!   an error and can never change an answer; they cost exactly one
 //!   [`ServiceStats::snapshot_rejections`] increment. Successful
@@ -275,9 +275,8 @@
 //! * **Checkpoints are incremental generations.** Each successful
 //!   [`JuryService::snapshot`] writes only the entries that changed
 //!   since the directory's last committed generation, then publishes
-//!   `manifest-<gen>.json` (monotonically numbered; the pre-generation
-//!   `manifest.json` reads as generation 0) referencing fresh files
-//!   and files retained from earlier generations alike. Old
+//!   `manifest-<gen>.json` (monotonically numbered from 1) referencing
+//!   fresh files and files retained from earlier generations alike. Old
 //!   generations are garbage-collected only after the new manifest is
 //!   durable, so a crash at any byte boundary — including between an
 //!   entry write and the manifest commit, or mid-GC — leaves the
@@ -396,28 +395,23 @@ pub use snapshot::{
     SnapshotError, SnapshotReport, SnapshotWatcher,
 };
 
-use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy, JerProfile};
+use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy};
 use jury_core::error::JuryError;
 use jury_core::fingerprint::{FingerprintKey, PoolFingerprint};
 use jury_core::jer::JerEngine;
 use jury_core::juror::Juror;
 use jury_core::model::CrowdModel;
-use jury_core::paym::{PayAlg, PayConfig, Staircase};
+use jury_core::paym::{PayAlg, PayConfig};
 use jury_core::problem::Selection;
-use jury_core::solver::{visit_order, SolverScratch, VisitOrder};
-use jury_numeric::poibin::PoiBin;
-use ladder::PmfLadder;
+use jury_core::solver::SolverScratch;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use shard::{reinsert_eps, reinsert_greedy, renumber_out, MutationEffect, ShardedPool};
+use shard::{MutationEffect, ShardedPool};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::{
-    translate_selection, ArtifactSet, ArtifactStore, Attach, LayoutKey, PermutedView, StoreKey,
-    StoreLink,
-};
+use store::{ArtifactSet, ArtifactStore, StoreKey, StoreLink};
 
 /// Upper bound on sequential staircase-recording scans per batch. Only
 /// `(pool, budget)` pairs that repeat within the batch are recorded up
@@ -572,14 +566,16 @@ impl Deserialize for ServiceError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads for [`JuryService::solve_batch`]
-    /// (0 = one per available core). A cold build of a large flat pool
-    /// uses a second thread when this resolves to more than one.
+    /// (0 = one per available core). A cold build of a large one-shard
+    /// pool uses a second thread when this resolves to more than one.
     pub threads: usize,
     /// AltrALG configuration used for AltrM tasks.
     pub altr: AltrConfig,
     /// PayALG configuration used for PayM tasks.
     pub pay: PayConfig,
-    /// When pools are partitioned into shards (disabled by default).
+    /// How many shards serve each pool: one below
+    /// [`ShardConfig::threshold`] — every pool, by default — and
+    /// [`ShardConfig::shards`] at or above it.
     pub shard: ShardConfig,
     /// Whether equal-content pools share one warm artifact set through
     /// the content-addressed store (on by default; see the crate docs
@@ -615,7 +611,7 @@ pub struct ServiceConfig {
     /// Reader staleness policy (see the crate docs' *multi-process
     /// contract*). With `Some(age)`, restore refuses snapshot
     /// generations whose commit stamp is older than `age` — or absent
-    /// (legacy manifests carry none) — counting each refusal in
+    /// (a manifest that cannot prove its age) — counting each refusal in
     /// [`ServiceStats::stale_snapshot_skips`] and cold-building
     /// instead. `None` (the default) restores any verified generation.
     pub max_snapshot_age: Option<Duration>,
@@ -661,60 +657,64 @@ impl Default for ServiceConfig {
 /// let stats = service.stats();
 /// assert_eq!(stats.tasks_solved, 3);
 /// assert_eq!(stats.staircase_hits, 2, "only the first budget runs a greedy scan");
-/// assert_eq!(stats.full_repairs, 0, "budget changes never rebuild pmf artefacts");
+/// assert_eq!(stats.full_repairs, 1, "the cold build only: budget changes rebuild nothing");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Tasks solved (single or batched).
     pub tasks_solved: usize,
-    /// Tasks whose pool cache was already warm (orders present) when the
-    /// request arrived (cold solves and unknown pools are not hits; a
-    /// sharded pool's lazily-pending AltrM selection still counts as
-    /// warm — hits are order-level).
+    /// Tasks whose needed state was already warm when the request
+    /// arrived: what [`JuryService::is_warm`] reports for AltrM tasks
+    /// (a K-shard pool's lazily pending answer still counts), the sorted
+    /// orders for PayM tasks (cold solves and unknown pools are not
+    /// hits).
     pub cache_hits: usize,
-    /// Cache (re)builds: a flat pool's artefact build, or a sharded
-    /// pool's merged-order rebuild.
+    /// Cache (re)builds: a cold pool's shards and orders (with the
+    /// AltrM answer when the build was for one — still one build), or an
+    /// AltrM re-solve over repaired or attached orders.
     pub cache_builds: usize,
     /// `solve_batch` invocations.
     pub batches: usize,
     /// Mutations that invalidated (dropped or repaired) warm cached
     /// state. Mutations on cold pools count nothing.
     pub cache_invalidations: usize,
-    /// Juror mutations whose sorted orders (flat, per-shard and merged)
-    /// were repaired in place (`O(n)` remove + insert, plus a
-    /// renumbering pass for removals) instead of being recomputed.
+    /// Juror mutations whose sorted runs (per-shard and merged) were
+    /// repaired in place (`O(n)` remove + insert, plus a renumbering
+    /// pass for removals) instead of being recomputed.
     pub order_repairs: usize,
     /// Juror inserts absorbed by in-place repair — one rank-insert per
-    /// sorted run plus a [`PoiBin::push`] per affected pmf-ladder
-    /// checkpoint — on a warm pool, flat or sharded (a sharded insert
-    /// used to drop the owning shard; this counter gates the fix).
+    /// sorted run plus a
+    /// [`PoiBin::push`](jury_numeric::poibin::PoiBin::push) per affected
+    /// checkpoint of a laid pmf ladder — on a warm pool.
     pub insert_repairs: usize,
     /// Warm PayM tasks answered from the budget staircase — a binary
     /// search plus a selection clone instead of a greedy rescan.
     pub staircase_hits: usize,
-    /// Pmf checkpoint ladders repaired by factor deconvolution
-    /// ([`jury_numeric::poibin::PoiBin::remove_factor`]) after a juror
-    /// update/removal, instead of being re-convolved from scratch.
+    /// Pmf checkpoint ladders repaired after a juror mutation — by factor
+    /// deconvolution ([`jury_numeric::poibin::PoiBin::remove_factor`])
+    /// for updates/removals, pushes for inserts — instead of being
+    /// re-convolved from scratch. Ladders are laid by the first probe or
+    /// profile read, so mutations on a never-probed pool count nothing
+    /// here.
     pub pmf_repairs: usize,
     /// Ladder repairs that fell back to a full rebuild because the
     /// deconvolution conditioning guard declined (old rate within
     /// [`jury_numeric::poibin::DECONV_GUARD_BAND`] of ½, or error budget
     /// exceeded).
     pub pmf_rebuilds: usize,
-    /// Shard-local repairs: per-shard cache rebuilds performed while
-    /// the rest of the warm state survived — other shards stayed warm,
-    /// or the merged layer was adopted from an interned artifact set
-    /// (per-shard caches are always built per pool; each rebuilt shard
-    /// counts once).
+    /// Shard-local repairs: per-shard cache builds performed while the
+    /// rest of the warm state survived — other shards stayed warm, or an
+    /// attached pool whose partition differs from the interned layer's
+    /// built its shards beside the adopted merged orders (each built
+    /// shard counts once).
     pub shard_repairs: usize,
-    /// Full repairs: cache builds that recomputed everything — a flat
-    /// pool's from-scratch build, or a sharded warm-up with every shard
-    /// cold (including each pool's first build).
+    /// Full repairs: cold builds that recomputed every shard (including
+    /// each pool's first build).
     pub full_repairs: usize,
-    /// Materialised JER profiles repaired in place after a juror
-    /// mutation (prefix entries reused verbatim, suffix re-derived from
-    /// the nearest pmf-ladder checkpoint) instead of being dropped for
-    /// an `O(N²)` rebuild.
+    /// Materialised JER profiles of one-shard pools repaired in place
+    /// after a juror mutation (prefix entries reused verbatim, suffix
+    /// re-derived from the nearest pmf-ladder checkpoint) instead of
+    /// being dropped for an `O(N²)` rebuild.
     pub profile_repairs: usize,
     /// Candidate jury sizes eliminated by the warm AltrM bound sweep
     /// (`AltrAlg::solve_pruned`'s Paley–Zygmund vs Cantelli/Chernoff
@@ -757,7 +757,7 @@ pub struct ServiceStats {
     /// Snapshot candidates *refused* at restore time — truncated or
     /// bit-flipped files, section/manifest checksum mismatches, version
     /// skew, key or content mismatches against the registering pool,
-    /// and layout/config drift over known content. Each rejection falls
+    /// and shard-count/config drift over known content. Each rejection falls
     /// back to the ordinary cold build.
     pub snapshot_rejections: usize,
     /// Restores refused by the staleness policy
@@ -767,8 +767,7 @@ pub struct ServiceStats {
     pub stale_snapshot_skips: usize,
     /// Gauge (not a counter): the highest snapshot generation this
     /// service has observed — committed by its own writer or read from
-    /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists
-    /// (legacy `manifest.json` snapshots also read as 0).
+    /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists.
     pub snapshot_generation: usize,
     /// Gauge (not a counter): milliseconds since that generation's
     /// commit stamp at the moment [`JuryService::stats`] was called; 0
@@ -888,114 +887,71 @@ fn stat_field(value: &Value, name: &str) -> Result<usize, SerdeError> {
 /// replays can hand out the same allocation
 /// ([`JuryService::solve_batch_shared`]) instead of copying a
 /// potentially huge member list per task.
-type AltrAnswer = Result<Arc<Selection>, JuryError>;
-
-/// Everything derived from one immutable snapshot of a flat pool.
-#[derive(Debug, Clone)]
-struct PoolCache {
-    /// Pool indices ascending by ε — AltrALG's visit order.
-    eps_order: Vec<usize>,
-    /// ε values aligned with `eps_order`.
-    eps_sorted: Vec<f64>,
-    /// PayALG's budget-independent greedy visit order.
-    greedy_order: Vec<usize>,
-    /// The solved AltrM answer, replayed verbatim on every AltrM task.
-    /// Dropped by mutations (the selection may genuinely change) and
-    /// re-solved rescan-free by the bound-pruned scan.
-    altr: Option<AltrAnswer>,
-    /// The odd-size JER profile (Figure 3(a)'s curve for this pool),
-    /// built lazily by [`JuryService::jer_profile`] and *repaired in
-    /// place* on juror mutations (prefix entries reused, suffix resumed
-    /// from the pmf ladder).
-    profile: Option<JerProfile>,
-    /// Prefix-pmf checkpoints over `eps_sorted`, built lazily by the
-    /// first [`JuryService::jer_probe`] or profile repair and repaired
-    /// in place on juror mutations (see [`ladder`]).
-    ladder: Option<PmfLadder>,
-    /// The PayM budget→selection staircase over `greedy_order`, recorded
-    /// lazily per budget and cleared by every mutation.
-    staircase: Staircase,
-}
-
-/// A flat pool's warm state: cold, privately owned (mutated in place by
-/// the repair paths), or attached to a shared warm-artifact set.
-#[derive(Debug, Clone)]
-enum FlatCache {
-    /// Nothing warm yet.
-    Cold,
-    /// Privately-owned artifacts — the only state repairs write to.
-    Private(PoolCache),
-    /// Attached to an interned [`ArtifactSet`]; mutations detach first.
-    Shared(SharedFlat),
-}
-
-/// A flat pool's attachment to a store entry.
-#[derive(Debug, Clone)]
-struct SharedFlat {
-    link: StoreLink,
-    /// `None` for sequence-identical attachers (founding position space
-    /// *is* this pool's); `Some` for permuted attachers, holding the
-    /// σ-translated orders plus the position-space artifacts that cannot
-    /// be shared across permutations.
-    view: Option<PermutedView>,
-}
-
-impl FlatCache {
-    /// The position-space ε order, however the cache is held.
-    fn eps_order(&self) -> Option<&[usize]> {
-        match self {
-            Self::Cold => None,
-            Self::Private(c) => Some(&c.eps_order),
-            Self::Shared(sf) => Some(match &sf.view {
-                None => &sf.link.set.eps_order,
-                Some(view) => &view.eps_order,
-            }),
-        }
-    }
-
-    /// Whether any orders are present (the warmth level PayM needs).
-    fn has_orders(&self) -> bool {
-        !matches!(self, Self::Cold)
-    }
-
-    /// Whether the AltrM answer this pool would replay is present.
-    fn has_altr(&self) -> bool {
-        match self {
-            Self::Cold => false,
-            Self::Private(c) => c.altr.is_some(),
-            Self::Shared(sf) => match &sf.view {
-                None => sf.link.set.altr.get().is_some(),
-                Some(view) => view.altr.is_some(),
-            },
-        }
-    }
-}
-
-/// How a registered pool is served: flat (one sorted scan) or sharded.
-#[derive(Debug, Clone)]
-enum PoolState {
-    /// Below the shard threshold: one cache over the whole pool.
-    Flat {
-        /// The per-generation cache.
-        cache: FlatCache,
-    },
-    /// At or above the shard threshold: K shards with per-shard caches;
-    /// `link` attaches the merged-layer artifacts to the store.
-    Sharded {
-        /// The sharded pool.
-        sp: ShardedPool,
-        /// Store attachment of the merged-layer artifacts, if any.
-        link: Option<StoreLink>,
-    },
-}
+pub(crate) type AltrAnswer = Result<Arc<Selection>, JuryError>;
 
 #[derive(Debug, Clone)]
 struct PoolEntry {
     jurors: Vec<Juror>,
-    state: PoolState,
+    /// The pool's warm state: K shards, one below
+    /// [`ShardConfig::threshold`].
+    sp: ShardedPool,
+    /// The store entry serving this pool's warm state, if interned.
+    /// Mutations detach first ([`detach`]).
+    link: Option<StoreLink>,
     /// Running multiset hash of the jurors' solver-relevant content —
     /// the store key, updated in `O(1)` per mutation.
     fp: PoolFingerprint,
+}
+
+impl PoolEntry {
+    /// The pool's store key under `config` bits.
+    fn key(&self, config: u64) -> StoreKey {
+        StoreKey { fp: self.fp.key(), shards: self.sp.shard_count(), config }
+    }
+
+    /// Runs one PayM task through the budget staircase — the store
+    /// entry's when attached (shared by every sibling; recording happens
+    /// under the registry's exclusive borrow, batch workers only take
+    /// the read lock), the pool's own otherwise. Returns the answer and
+    /// whether the staircase already covered the budget.
+    fn solve_staircase(
+        &mut self,
+        pay: &PayAlg,
+        budget: f64,
+        scratch: &mut SolverScratch,
+    ) -> (Result<Selection, JuryError>, bool) {
+        let Self { jurors, sp, link, .. } = self;
+        match (link.as_ref(), sp.greedy_order()) {
+            (Some(link), Some(order)) => {
+                let mut staircase = link.set.staircase_write();
+                let hit = staircase.covers(budget);
+                (pay.solve_staircase(jurors, order, &mut staircase, scratch), hit)
+            }
+            _ => match sp.paym_cache() {
+                Some((order, staircase)) => {
+                    let hit = staircase.covers(budget);
+                    (pay.solve_staircase(jurors, order, staircase, scratch), hit)
+                }
+                None => (pay.solve_with(jurors, scratch), false),
+            },
+        }
+    }
+
+    /// Read-only staircase replay for `budget`, if covered.
+    fn staircase_lookup(&self, budget: f64) -> Option<Result<Selection, JuryError>> {
+        match &self.link {
+            Some(link) => link.set.staircase_read().lookup(budget),
+            None => self.sp.staircase_lookup(budget),
+        }
+    }
+
+    /// Whether the staircase already covers `budget`.
+    fn staircase_covers(&self, budget: f64) -> bool {
+        match &self.link {
+            Some(link) => link.set.staircase_read().covers(budget),
+            None => self.sp.staircase_covers(budget),
+        }
+    }
 }
 
 /// What one [`JuryService::adopt_snapshot`] call did — returned only
@@ -1042,18 +998,18 @@ impl Clone for JuryService {
     /// (immutable innards still share memory) and every attached pool
     /// re-linked to its copy — because sharing entries across services
     /// would break the exact strong-count accounting behind sole-owner
-    /// detach and orphan eviction. Warm state, counters and pool ids
-    /// carry over; worker scratches start empty (they refill lazily).
+    /// detach and orphan eviction. Shard caches whose pmf ladder is not
+    /// laid yet are copied (one copy per cache, shared by the clone's
+    /// holders), so a probe on either service lays only its own ladder.
+    /// Warm state, counters and pool ids carry over; worker scratches
+    /// start empty (they refill lazily).
     fn clone(&self) -> Self {
-        let (store, remap) = self.store.deep_clone();
+        let mut copies = shard::CacheCopies::new();
+        let (store, remap) = self.store.deep_clone(&mut copies);
         let mut pools = self.pools.clone();
         for entry in pools.values_mut() {
-            let link = match &mut entry.state {
-                PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(&mut sf.link),
-                PoolState::Sharded { link: Some(link), .. } => Some(link),
-                _ => None,
-            };
-            if let Some(link) = link {
+            entry.sp.copy_unlaid(&mut copies);
+            if let Some(link) = &mut entry.link {
                 // Every attached pool's handle is the map's (publish
                 // never replaces an entry), so the remap always hits;
                 // the fallback keeps an unexpected stray handle working
@@ -1078,7 +1034,8 @@ impl Clone for JuryService {
 
 /// The solver-relevant configuration bits entering every store key: the
 /// knobs that change what a solver *outputs* (threads, shard thresholds
-/// and degeneracy percentages only change how fast).
+/// and degeneracy percentages only change how fast; the shard count
+/// enters the key on its own).
 fn config_key(config: &ServiceConfig) -> u64 {
     let strategy = match config.altr.strategy {
         AltrStrategy::PaperRecompute => 0u64,
@@ -1224,31 +1181,10 @@ impl JuryService {
             let config_bits = config_key(&self.config);
             let max_age = self.config.max_snapshot_age;
             let Self { pools, store, stats, snapshots, .. } = &mut *self;
-            for entry in pools.values() {
-                let key = match &entry.state {
-                    PoolState::Flat { cache: FlatCache::Cold } => StoreKey {
-                        fp: entry.fp.key(),
-                        layout: LayoutKey::Flat,
-                        config: config_bits,
-                    },
-                    PoolState::Sharded { sp, link: None } if !sp.is_warm() => StoreKey {
-                        fp: entry.fp.key(),
-                        layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                        config: config_bits,
-                    },
-                    // Anything warm keeps serving what it has.
-                    _ => continue,
-                };
-                restore_into_store(
-                    store,
-                    snapshots.as_ref(),
-                    &key,
-                    &entry.jurors,
-                    max_age,
-                    &mut stats.snapshot_restores,
-                    &mut stats.snapshot_rejections,
-                    &mut stats.stale_snapshot_skips,
-                );
+            // Anything warm keeps serving what it has.
+            for entry in pools.values().filter(|e| !e.sp.has_orders()) {
+                let key = entry.key(config_bits);
+                restore_into_store(store, snapshots.as_ref(), &key, &entry.jurors, max_age, stats);
             }
         }
         let restored = self.stats.snapshot_restores - restores_before;
@@ -1279,24 +1215,19 @@ impl JuryService {
 
     /// Registers a pool and returns its handle. The pool may be empty
     /// (tasks on it then fail exactly like the direct solvers do). Pools
-    /// at or above [`ShardConfig::threshold`] are sharded immediately.
+    /// at or above [`ShardConfig::threshold`] get
+    /// [`ShardConfig::shards`] shards, smaller ones one.
     pub fn create_pool(&mut self, jurors: Vec<Juror>) -> PoolId {
         let id = self.next_pool;
         self.next_pool += 1;
-        let state = if self.config.shard.applies(jurors.len()) {
-            PoolState::Sharded {
-                sp: ShardedPool::new(
-                    jurors.len(),
-                    self.config.shard.shards,
-                    self.config.shard.degenerate_percent,
-                ),
-                link: None,
-            }
-        } else {
-            PoolState::Flat { cache: FlatCache::Cold }
-        };
+        let shard = self.config.shard;
+        let sp = ShardedPool::new(
+            jurors.len(),
+            shard.shards_for(jurors.len()),
+            shard.degenerate_percent,
+        );
         let fp = PoolFingerprint::from_jurors(&jurors);
-        self.pools.insert(id, PoolEntry { jurors, state, fp });
+        self.pools.insert(id, PoolEntry { jurors, sp, link: None, fp });
         PoolId(id)
     }
 
@@ -1306,19 +1237,10 @@ impl JuryService {
     /// Shared warm artifacts the pool held are released (entries no pool
     /// holds any more are evicted from the store).
     pub fn remove_pool(&mut self, pool: PoolId) -> Result<Vec<Juror>, ServiceError> {
-        let entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let key = match &entry.state {
-            PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(sf.link.key),
-            PoolState::Sharded { link: Some(link), .. } => Some(link.key),
-            _ => None,
-        };
-        let jurors = entry.jurors;
-        drop(entry.state);
-        if let Some(key) = key {
-            self.store.release(&key, self.config.store_ttl.is_some());
-        }
+        let mut entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        detach(&mut self.store, &mut entry.link, self.config.store_ttl.is_some());
         self.sweep_store_ttl();
-        Ok(jurors)
+        Ok(entry.jurors)
     }
 
     /// The pool's current content-fingerprint key — equal multisets of
@@ -1333,19 +1255,14 @@ impl JuryService {
     /// Whether two pools currently hold the *same* interned warm-artifact
     /// set (pointer equality of the shared `Arc`) — true for pools that
     /// attached, re-joined or published to one store entry; false when
-    /// either is cold, privately detached, or the pools' content
-    /// diverged.
+    /// either is cold, privately detached, or the pools' content (or its
+    /// arrangement) differs.
     pub fn shares_artifacts_with(&self, a: PoolId, b: PoolId) -> Result<bool, ServiceError> {
         let set_of = |id: PoolId| -> Result<Option<&Arc<ArtifactSet>>, ServiceError> {
             let entry = self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?;
-            Ok(match &entry.state {
-                PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(&sf.link.set),
-                PoolState::Sharded { link: Some(link), .. } => Some(&link.set),
-                _ => None,
-            })
+            Ok(entry.link.as_ref().map(|link| &link.set))
         };
-        let (sa, sb) = (set_of(a)?, set_of(b)?);
-        Ok(match (sa, sb) {
+        Ok(match (set_of(a)?, set_of(b)?) {
             (Some(sa), Some(sb)) => Arc::ptr_eq(sa, sb),
             _ => false,
         })
@@ -1367,97 +1284,62 @@ impl JuryService {
             .ok_or(ServiceError::UnknownPool(pool))
     }
 
-    /// Whether `pool` is currently served sharded.
-    pub fn is_sharded(&self, pool: PoolId) -> Result<bool, ServiceError> {
+    /// The number of shards serving `pool`: one below
+    /// [`ShardConfig::threshold`], [`ShardConfig::shards`] at or above it
+    /// (a pool keeps its shards when it shrinks back below).
+    pub fn shard_count(&self, pool: PoolId) -> Result<usize, ServiceError> {
         self.pools
             .get(&pool.0)
-            .map(|entry| matches!(entry.state, PoolState::Sharded { .. }))
+            .map(|entry| entry.sp.shard_count())
             .ok_or(ServiceError::UnknownPool(pool))
     }
 
-    /// The number of shards serving `pool` (`None` for flat pools).
-    pub fn shard_count(&self, pool: PoolId) -> Result<Option<usize>, ServiceError> {
-        self.pools
-            .get(&pool.0)
-            .map(|entry| match &entry.state {
-                PoolState::Flat { .. } => None,
-                PoolState::Sharded { sp, .. } => Some(sp.shard_count()),
-            })
-            .ok_or(ServiceError::UnknownPool(pool))
-    }
-
-    /// Appends a juror; returns its position. A warm pool — flat or
-    /// sharded — is repaired in place: one rank-insert per sorted order
-    /// (the owning shard's runs and the merged orders, for sharded
-    /// pools), one [`PoiBin::push`] per affected pmf-ladder checkpoint
-    /// and (flat) an in-place profile repair; only the AltrM answer
-    /// (re-solved rescan-free by the bound-pruned scan) and the budget
-    /// staircase drop. A flat pool crossing [`ShardConfig::threshold`]
-    /// is promoted to sharded (a full rebuild); a sharded insert that
-    /// tips a shard into degeneracy triggers an online re-balance.
+    /// Appends a juror; returns its position. A warm pool is repaired in
+    /// place: one rank-insert per sorted run (the owning shard's and,
+    /// for K > 1, the merged orders), one [`PoiBin::push`] per affected
+    /// checkpoint of a laid pmf ladder and, for one shard, an in-place
+    /// profile repair; only the AltrM answer (re-solved rescan-free by
+    /// the bound-pruned scan) and the budget staircase drop. A one-shard
+    /// pool growing to [`ShardConfig::threshold`] is re-partitioned into
+    /// [`ShardConfig::shards`] cold shards — the same reset
+    /// [`JuryService::invalidate_warm`] performs; an insert that tips a
+    /// shard into degeneracy triggers an online re-balance.
+    ///
+    /// [`PoiBin::push`]: jury_numeric::poibin::PoiBin::push
     pub fn insert_juror(&mut self, pool: PoolId, juror: Juror) -> Result<usize, ServiceError> {
         let shard_config = self.config.shard;
         let ttl_enabled = self.config.store_ttl.is_some();
         let Self { pools, store, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let promote = matches!(entry.state, PoolState::Flat { .. })
-            && shard_config.applies(entry.jurors.len() + 1);
-        let flat_was_warm = matches!(&entry.state, PoolState::Flat { cache } if cache.has_orders());
-        // A promotion replaces the flat cache wholesale, so a shared
-        // attachment is merely dropped — never materialised into the
-        // private copy an in-place repair would need.
-        let detached = if promote {
-            discard_flat_share(store, &mut entry.state, ttl_enabled)
-        } else {
-            detach_pool(store, &mut entry.state, ttl_enabled)
-        };
+        let detached = detach(store, &mut entry.link, ttl_enabled);
         entry.fp.insert(&juror);
         entry.jurors.push(juror);
-        let pos = entry.jurors.len() - 1;
-        let effect = match &mut entry.state {
-            PoolState::Flat { cache } if promote => {
-                *cache = FlatCache::Cold;
-                MutationEffect { invalidated: flat_was_warm, ..Default::default() }
-            }
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_insert(c, &entry.jurors, pos),
-                _ => MutationEffect::default(),
-            },
-            PoolState::Sharded { sp, .. } => {
-                let mut effect = sp.insert(&entry.jurors);
-                effect.newly_degenerate = sp.refresh_degeneracy(shard_config.degenerate_percent);
-                if shard_config.rebalance && effect.newly_degenerate > 0 {
-                    effect.rebalanced =
-                        sp.rebalance(&entry.jurors, shard_config.degenerate_percent);
-                    sp.refresh_degeneracy(shard_config.degenerate_percent);
-                }
-                effect
-            }
+        let len = entry.jurors.len();
+        let k = shard_config.shards_for(len);
+        let effect = if k > entry.sp.shard_count() {
+            let invalidated = entry.sp.has_orders();
+            entry.sp = ShardedPool::new(len, k, shard_config.degenerate_percent);
+            MutationEffect { invalidated, ..Default::default() }
+        } else {
+            let mut effect = entry.sp.insert(&entry.jurors);
+            rebalance_if_degenerate(&mut entry.sp, &entry.jurors, shard_config, &mut effect);
+            effect
         };
-        if promote {
-            entry.state = PoolState::Sharded {
-                sp: ShardedPool::new(
-                    entry.jurors.len(),
-                    shard_config.shards,
-                    shard_config.degenerate_percent,
-                ),
-                link: None,
-            };
-        }
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
-        Ok(pos)
+        Ok(len - 1)
     }
 
     /// Replaces the juror at `index` (e.g. a re-estimated error rate).
-    /// Warm state is *repaired in place*, flat or sharded: every sorted
-    /// order gets one remove + one rank-insert (`O(n)`, bit-identical to
-    /// a re-sort), pmf checkpoint ladders get one factor division per
-    /// affected checkpoint (numerically equal to a re-convolution; the
-    /// deconvolution guard falls back to a rebuild, observable as
-    /// [`ServiceStats::pmf_rebuilds`]). Only the lazily-derived artefacts
-    /// whose answers may genuinely change (AltrM selection, profile,
-    /// budget staircase) are dropped.
+    /// Warm state is *repaired in place*: every sorted run gets one
+    /// remove + one rank-insert (`O(n)`, bit-identical to a re-sort), a
+    /// laid pmf ladder one factor division per affected checkpoint
+    /// (numerically equal to a re-convolution; the deconvolution guard
+    /// falls back to a rebuild, observable as
+    /// [`ServiceStats::pmf_rebuilds`]). Only the artefacts whose answers
+    /// may genuinely change drop: the AltrM selection, the budget
+    /// staircase and — for K > 1 — the profile (a one-shard pool repairs
+    /// its profile in place).
     pub fn update_juror(
         &mut self,
         pool: PoolId,
@@ -1473,17 +1355,10 @@ impl JuryService {
             index,
             len,
         })?;
-        let old = *slot;
-        *slot = juror;
+        let old = std::mem::replace(slot, juror);
         entry.fp.replace(&old, &juror);
-        let detached = detach_pool(store, &mut entry.state, ttl_enabled);
-        let effect = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_update(c, &entry.jurors, index, &old),
-                _ => MutationEffect::default(),
-            },
-            PoolState::Sharded { sp, .. } => sp.update(index, &entry.jurors, &old),
-        };
+        let detached = detach(store, &mut entry.link, ttl_enabled);
+        let effect = entry.sp.update(index, &entry.jurors, &old);
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
         Ok(())
@@ -1503,25 +1378,13 @@ impl JuryService {
         if index >= len {
             return Err(ServiceError::JurorOutOfRange { pool, index, len });
         }
-        let detached = detach_pool(store, &mut entry.state, ttl_enabled);
-        let mut effect = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_remove(c, index),
-                _ => MutationEffect::default(),
-            },
-            // The victim is still present: its runs entries are located
-            // by binary rank against the pre-removal pool.
-            PoolState::Sharded { sp, .. } => sp.remove(index, &entry.jurors),
-        };
+        let detached = detach(store, &mut entry.link, ttl_enabled);
+        // The victim is still present: its run entries are located by
+        // binary rank against the pre-removal pool.
+        let mut effect = entry.sp.remove(index, &entry.jurors);
         let removed = entry.jurors.remove(index);
         entry.fp.remove(&removed);
-        if let PoolState::Sharded { sp, .. } = &mut entry.state {
-            effect.newly_degenerate = sp.refresh_degeneracy(shard_config.degenerate_percent);
-            if shard_config.rebalance && effect.newly_degenerate > 0 {
-                effect.rebalanced = sp.rebalance(&entry.jurors, shard_config.degenerate_percent);
-                sp.refresh_degeneracy(shard_config.degenerate_percent);
-            }
-        }
+        rebalance_if_degenerate(&mut entry.sp, &entry.jurors, shard_config, &mut effect);
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
         Ok(removed)
@@ -1531,12 +1394,12 @@ impl JuryService {
     /// to settle the pool back into the store under its post-mutation
     /// fingerprint — **re-joining** an existing entry when one matches
     /// (content-verified, never by hash alone), or **publishing** the
-    /// repaired private artifacts under the new key when the pool
-    /// detached from an entry with surviving siblings (identically
-    /// mutated siblings then re-join it instead of re-repairing).
-    /// Mutated pools with no entry to join and no siblings to serve stay
-    /// private — repairs keep their in-place cost and the store stays
-    /// bounded by live content states.
+    /// repaired artifacts under the new key when the pool detached from
+    /// an entry with surviving siblings (identically mutated siblings
+    /// then re-join it instead of re-repairing). Mutated pools with no
+    /// entry to join and no siblings to serve stay private — repairs
+    /// keep their in-place cost and the store stays bounded by live
+    /// content states.
     fn settle_after_mutation(&mut self, pool: PoolId, detached: Option<bool>) {
         self.settle_after_mutation_inner(pool, detached);
         self.sweep_store_ttl();
@@ -1554,85 +1417,28 @@ impl JuryService {
             return;
         }
         let config_bits = config_key(&self.config);
+        let threads = self.config.threads;
         let Self { pools, store, stats, .. } = &mut *self;
         let Some(entry) = pools.get_mut(&pool.0) else {
             return;
         };
-        match &mut entry.state {
-            PoolState::Flat { cache } => {
-                if !matches!(cache, FlatCache::Private(_)) {
-                    return;
-                }
-                let key =
-                    StoreKey { fp: entry.fp.key(), layout: LayoutKey::Flat, config: config_bits };
-                if let Some(shared) = attach_flat(store, key, &entry.jurors) {
-                    // Seed the entry's empty lazy slots with the
-                    // just-repaired rank-space artifacts instead of
-                    // dropping them — the whole cohort then skips the
-                    // O(N²) rebuild (repair lineage is the documented
-                    // numerical carve-out either way).
-                    if let (FlatCache::Private(c), FlatCache::Shared(sf)) = (&mut *cache, &shared) {
-                        if let Some(ladder) = c.ladder.take() {
-                            sf.link.set.set_ladder(ladder);
-                        }
-                        if let Some(profile) = c.profile.take() {
-                            sf.link.set.set_profile(Arc::new(profile));
-                        }
-                    }
-                    *cache = shared;
-                    stats.artifact_rejoins += 1;
-                } else if had_siblings && !store.contains(&key) {
-                    let FlatCache::Private(c) = std::mem::replace(cache, FlatCache::Cold) else {
-                        unreachable!("checked above");
-                    };
-                    *cache = match store.publish(key, ArtifactSet::from_cache(c, &entry.jurors)) {
-                        Ok(set) => FlatCache::Shared(SharedFlat {
-                            link: StoreLink { key, set },
-                            view: None,
-                        }),
-                        Err(set) => FlatCache::Private(set.into_cache()),
-                    };
-                }
+        if !entry.sp.has_orders() {
+            return;
+        }
+        let key = entry.key(config_bits);
+        match store.get(&key) {
+            Some(set) if set.matches(&entry.jurors) => {
+                attach(&mut entry.sp, &set, &entry.jurors, threads);
+                entry.link = Some(StoreLink { key, set });
+                stats.artifact_rejoins += 1;
             }
-            PoolState::Sharded { sp, link } => {
-                if !sp.is_warm() {
-                    return;
-                }
-                let key = StoreKey {
-                    fp: entry.fp.key(),
-                    layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                    config: config_bits,
-                };
-                if let Some(set) = store.get(&key) {
-                    if matches!(set.match_pool(&entry.jurors), Some(Attach::Identical)) {
-                        // A re-joining pool is fully warm (repairs never
-                        // drop shards), so seed the entry's shard layer
-                        // if it is still empty — identically-mutated
-                        // siblings then adopt these repaired caches
-                        // (repair lineage is the documented numerical
-                        // carve-out either way).
-                        if set.shard_layer.get().is_none() {
-                            if let Some(layer) = sp.export_shard_layer() {
-                                set.set_shard_layer(layer);
-                            }
-                        }
-                        sp.adopt_merged(set.eps_order.clone(), set.greedy_order.clone());
-                        *link = Some(StoreLink { key, set });
-                        stats.artifact_rejoins += 1;
-                    }
-                } else if had_siblings {
-                    if let Some((eps, greedy)) = sp.merged_order_arcs() {
-                        if let Ok(set) =
-                            store.publish(key, ArtifactSet::from_merged(eps, greedy, &entry.jurors))
-                        {
-                            if let Some(layer) = sp.export_shard_layer() {
-                                set.set_shard_layer(layer);
-                            }
-                            *link = Some(StoreLink { key, set });
-                        }
-                    }
-                }
+            Some(_) => {}
+            None if had_siblings => {
+                let published = ArtifactSet::from_pool(&entry.sp, &entry.jurors)
+                    .and_then(|set| store.publish(key, set));
+                entry.link = published.map(|set| StoreLink { key, set });
             }
+            None => {}
         }
     }
 
@@ -1691,236 +1497,101 @@ impl JuryService {
     // Cache
     // ------------------------------------------------------------------
 
-    /// Builds whatever cached state is cold: a flat pool's orders and
-    /// AltrM answer (just the answer after an order repair — a
-    /// bound-pruned rescan-free solve), a sharded pool's cold shards
-    /// plus the merged orders. Called automatically by the solve paths;
+    /// Builds whatever warm state is cold: the shards and global orders
+    /// of a cold pool (attached from the store or a verified snapshot
+    /// when one matches) plus, for a one-shard pool, the AltrM answer —
+    /// just the answer after a repair, a bound-pruned rescan-free solve.
+    /// A K-shard pool (at or above [`ShardConfig::threshold`], where a
+    /// single AltrM scan can take minutes) solves AltrM on its first
+    /// AltrM task instead. Called automatically by the solve paths;
     /// exposed so benches can separate cold from warm.
     pub fn warm_pool(&mut self, pool: PoolId) -> Result<(), ServiceError> {
+        let one_shard = self.pools.get(&pool.0).is_some_and(|e| e.sp.shard_count() == 1);
+        self.warm(pool, one_shard)
+    }
+
+    /// Warms the orders and the AltrM answer, for AltrM tasks of any
+    /// shard count.
+    fn warm_altr(&mut self, pool: PoolId) -> Result<(), ServiceError> {
+        self.warm(pool, true)
+    }
+
+    /// Warms only the sorted orders, for order consumers (PayM,
+    /// [`JuryService::jer_probe`], the profile) that never read the
+    /// AltrM answer. An attach shares whatever the entry already holds;
+    /// an orders-only build is published with its lazy slots empty,
+    /// filled later by whichever attached pool first needs them.
+    fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
+        self.warm(pool, false)
+    }
+
+    fn warm(&mut self, pool: PoolId, with_altr: bool) -> Result<(), ServiceError> {
         let altr_config = self.config.altr;
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let threads = self.config.threads;
-        // Borrow-split: the scratch is taken out while the entry is
-        // borrowed mutably.
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        let mut builds = 0usize;
-        let mut fulls = 0usize;
-        let mut shard_reps = 0usize;
-        let mut pruned = 0usize;
-        let mut share_hits = 0usize;
-        let mut restores = 0usize;
-        let mut rejections = 0usize;
-        let mut stale_skips = 0usize;
         let max_age = self.config.max_snapshot_age;
-        let Self { pools, store, snapshots, .. } = &mut *self;
-        let outcome = match pools.get_mut(&pool.0) {
-            None => Err(ServiceError::UnknownPool(pool)),
-            Some(PoolEntry { jurors, state, fp }) => {
-                match state {
-                    PoolState::Flat { cache } => {
-                        // Phase 1: a cold pool attaches to an interned
-                        // artifact set, or builds one and publishes it.
-                        if matches!(cache, FlatCache::Cold) {
-                            let key = StoreKey {
-                                fp: fp.key(),
-                                layout: LayoutKey::Flat,
-                                config: config_bits,
-                            };
-                            if share {
-                                restore_into_store(
-                                    store,
-                                    snapshots.as_ref(),
-                                    &key,
-                                    jurors,
-                                    max_age,
-                                    &mut restores,
-                                    &mut rejections,
-                                    &mut stale_skips,
-                                );
-                            }
-                            let (acquired, attached) =
-                                acquire_flat(store, key, jurors, share, || {
-                                    let built = build_full_cache(
-                                        jurors,
-                                        &altr_config,
-                                        &mut scratch,
-                                        threads,
-                                    );
-                                    pruned += altr_pruned(built.altr.as_ref());
-                                    builds += 1;
-                                    fulls += 1;
-                                    built
-                                });
-                            share_hits += usize::from(attached);
-                            *cache = acquired;
-                        }
-                        // Phase 2: ensure the AltrM answer wherever the
-                        // cache lives (attached orders-only entries and
-                        // post-repair private caches solve it here —
-                        // rescan-free, bound-pruned).
-                        match cache {
-                            FlatCache::Cold => unreachable!("filled above"),
-                            FlatCache::Private(c) => {
-                                if c.altr.is_none() {
-                                    let answer = solve_altr_cached(
-                                        jurors,
-                                        &c.eps_order,
-                                        Some(&c.eps_sorted),
-                                        &altr_config,
-                                        &mut scratch,
-                                    );
-                                    pruned += altr_pruned(Some(&answer));
-                                    c.altr = Some(answer);
-                                    builds += 1;
-                                }
-                            }
-                            FlatCache::Shared(sf) => match &mut sf.view {
-                                None => {
-                                    if sf.link.set.altr.get().is_none() {
-                                        let answer = solve_altr_cached(
-                                            jurors,
-                                            &sf.link.set.eps_order,
-                                            Some(&sf.link.set.eps_sorted),
-                                            &altr_config,
-                                            &mut scratch,
-                                        );
-                                        pruned += altr_pruned(Some(&answer));
-                                        builds += 1;
-                                        sf.link.set.set_altr(answer);
-                                    }
-                                }
-                                Some(view) => {
-                                    if view.altr.is_none() {
-                                        let answer = match sf.link.set.altr.get() {
-                                            Some(Ok(sel)) => Ok(Arc::new(translate_selection(
-                                                sel,
-                                                &view.sigma,
-                                                jurors,
-                                            ))),
-                                            Some(Err(e)) => Err(e.clone()),
-                                            None => {
-                                                let ans = solve_altr_cached(
-                                                    jurors,
-                                                    &view.eps_order,
-                                                    None,
-                                                    &altr_config,
-                                                    &mut scratch,
-                                                );
-                                                pruned += altr_pruned(Some(&ans));
-                                                builds += 1;
-                                                // Publish the answer in
-                                                // founding space so later
-                                                // attachers replay instead
-                                                // of re-solving.
-                                                let set = &sf.link.set;
-                                                let founding = match &ans {
-                                                    Ok(sel) => Ok(Arc::new(
-                                                        set.untranslate_selection(sel, &view.sigma),
-                                                    )),
-                                                    Err(e) => Err(e.clone()),
-                                                };
-                                                set.set_altr(founding);
-                                                ans
-                                            }
-                                        };
-                                        view.altr = Some(answer);
-                                    }
-                                }
-                            },
-                        }
+        let Self { pools, store, snapshots, stats, scratches, .. } = &mut *self;
+        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        let mut scratch = scratches.pop().unwrap_or_default();
+        // A cold build and the AltrM solve that completes it count as one
+        // cache build; a solve over repaired or attached orders as one.
+        let mut built_cold = false;
+        if !entry.sp.has_orders() {
+            let key = entry.key(config_bits);
+            let PoolEntry { jurors, sp, link, .. } = &mut *entry;
+            if share {
+                restore_into_store(store, snapshots.as_ref(), &key, jurors, max_age, stats);
+            }
+            match share.then(|| store.get(&key)).flatten().filter(|set| set.matches(jurors)) {
+                Some(set) => {
+                    // Only the shards the interned layer did not cover
+                    // (a differing partition) are built privately.
+                    stats.shard_repairs += attach(sp, &set, jurors, threads);
+                    *link = Some(StoreLink { key, set });
+                    stats.artifact_share_hits += 1;
+                }
+                None => {
+                    let altr = with_altr.then_some((&altr_config, &mut scratch));
+                    let built = sp.warm(jurors, threads, altr);
+                    built_cold = true;
+                    stats.cache_builds += 1;
+                    if built == sp.shard_count() {
+                        stats.full_repairs += 1;
+                    } else {
+                        stats.shard_repairs += built;
                     }
-                    PoolState::Sharded { sp, link } => {
-                        if !sp.is_warm() {
-                            let key = StoreKey {
-                                fp: fp.key(),
-                                layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                                config: config_bits,
-                            };
-                            if share {
-                                restore_into_store(
-                                    store,
-                                    snapshots.as_ref(),
-                                    &key,
-                                    jurors,
-                                    max_age,
-                                    &mut restores,
-                                    &mut rejections,
-                                    &mut stale_skips,
-                                );
-                            }
-                            let attached = share.then(|| store.get(&key)).flatten().filter(|set| {
-                                matches!(set.match_pool(jurors), Some(Attach::Identical))
-                            });
-                            match attached {
-                                Some(set) => {
-                                    // Adopt the interned per-shard layer
-                                    // first (partition-verified): covered
-                                    // shards skip their private build
-                                    // entirely; only the holes are built.
-                                    if let Some(layer) = set.shard_layer.get() {
-                                        sp.adopt_shard_layer(layer);
-                                    }
-                                    let shards_built = sp.warm_shards(jurors);
-                                    sp.adopt_merged(
-                                        set.eps_order.clone(),
-                                        set.greedy_order.clone(),
-                                    );
-                                    if set.shard_layer.get().is_none() {
-                                        if let Some(layer) = sp.export_shard_layer() {
-                                            set.set_shard_layer(layer);
-                                        }
-                                    }
-                                    *link = Some(StoreLink { key, set });
-                                    share_hits += 1;
-                                    // Only the shards the interned layer
-                                    // did not cover were built privately.
-                                    shard_reps += shards_built;
-                                }
-                                None => {
-                                    let shards_built = sp.warm_shards(jurors);
-                                    sp.ensure_merged(jurors);
-                                    builds += 1;
-                                    if shards_built == sp.shard_count() {
-                                        fulls += 1;
-                                    } else {
-                                        shard_reps += shards_built;
-                                    }
-                                    if share {
-                                        if let Some((eps, greedy)) = sp.merged_order_arcs() {
-                                            // An occupied key refused the
-                                            // attach above — the incumbent
-                                            // wins and this pool stays
-                                            // unlinked.
-                                            if let Ok(set) = store.publish(
-                                                key,
-                                                ArtifactSet::from_merged(eps, greedy, jurors),
-                                            ) {
-                                                if let Some(layer) = sp.export_shard_layer() {
-                                                    set.set_shard_layer(layer);
-                                                }
-                                                *link = Some(StoreLink { key, set });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                    stats.bound_pruned += altr_pruned(sp.altr());
+                    // An occupied key (another arrangement of the same
+                    // content) keeps its incumbent; this pool stays
+                    // private.
+                    if share {
+                        let published = ArtifactSet::from_pool(sp, jurors)
+                            .and_then(|set| store.publish(key, set));
+                        *link = published.map(|set| StoreLink { key, set });
                     }
                 }
-                Ok(())
             }
-        };
-        self.scratches.push(scratch);
-        self.stats.cache_builds += builds;
-        self.stats.full_repairs += fulls;
-        self.stats.shard_repairs += shard_reps;
-        self.stats.bound_pruned += pruned;
-        self.stats.artifact_share_hits += share_hits;
-        self.stats.snapshot_restores += restores;
-        self.stats.snapshot_rejections += rejections;
-        self.stats.stale_snapshot_skips += stale_skips;
-        outcome
+        }
+        let PoolEntry { jurors, sp, link, .. } = entry;
+        if with_altr && sp.altr().is_none() {
+            // An attached entry's answer rides the identical global
+            // order — seed it instead of re-solving; a fresh solve is
+            // published back for siblings.
+            match link.as_ref().and_then(|l| l.set.altr.get()) {
+                Some(answer) => sp.seed_altr(answer.clone()),
+                None => {
+                    let answer = sp.ensure_altr(jurors, &altr_config, &mut scratch);
+                    stats.cache_builds += usize::from(!built_cold);
+                    stats.bound_pruned += altr_pruned(Some(answer));
+                    if let Some(link) = link {
+                        link.set.set_altr(answer.clone());
+                    }
+                }
+            }
+        }
+        scratches.push(scratch);
+        Ok(())
     }
 
     /// Drops every piece of `pool`'s warm state — orders, ladders,
@@ -1930,54 +1601,37 @@ impl JuryService {
     /// force a from-scratch rebuild) and the referee for the repair
     /// paths: the `rebalance_throughput` bench measures warm in-place
     /// insert repairs against exactly this invalidate-and-rebuild
-    /// baseline. Sharded pools are re-partitioned round-robin; entries
-    /// the store holds for sibling pools survive.
+    /// baseline. The pool is re-partitioned round-robin; entries the
+    /// store holds for sibling pools survive.
     pub fn invalidate_warm(&mut self, pool: PoolId) -> Result<(), ServiceError> {
         let shard_config = self.config.shard;
         let ttl_enabled = self.config.store_ttl.is_some();
         let Self { pools, store, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        match &mut entry.state {
-            PoolState::Flat { .. } => {
-                // A shared attachment is dropped, never materialised.
-                let _ = discard_flat_share(store, &mut entry.state, ttl_enabled);
-                if let PoolState::Flat { cache } = &mut entry.state {
-                    *cache = FlatCache::Cold;
-                }
-            }
-            PoolState::Sharded { sp, link } => {
-                if let Some(taken) = link.take() {
-                    let key = taken.key;
-                    drop(taken);
-                    store.release(&key, ttl_enabled);
-                }
-                *sp = ShardedPool::new(
-                    entry.jurors.len(),
-                    sp.shard_count(),
-                    shard_config.degenerate_percent,
-                );
-            }
-        }
+        detach(store, &mut entry.link, ttl_enabled);
+        entry.sp = ShardedPool::new(
+            entry.jurors.len(),
+            entry.sp.shard_count(),
+            shard_config.degenerate_percent,
+        );
         Ok(())
     }
 
-    /// Whether `pool`'s cache is currently warm (flat: orders and the
-    /// AltrM answer present — the profile and ladder stay lazy; sharded:
-    /// merged orders present — the AltrM selection and profile may still
-    /// be lazily pending).
+    /// Whether [`JuryService::warm_pool`] has nothing left to do: the
+    /// sorted orders are present and, for a one-shard pool, the AltrM
+    /// answer too (a K-shard pool's answer stays lazy). The profile and
+    /// the pmf ladders stay lazy either way. A mutation keeps the
+    /// (repaired) orders but drops the answer, so a one-shard pool reads
+    /// as not warm until its next AltrM task re-solves it.
     pub fn is_warm(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => cache.has_altr(),
-            PoolState::Sharded { sp, .. } => sp.is_warm(),
+        self.pools.get(&pool.0).is_some_and(|entry| {
+            entry.sp.has_orders() && (entry.sp.shard_count() > 1 || entry.sp.altr().is_some())
         })
     }
 
     /// Whether the sorted orders — all a PayM task needs — are present.
     fn has_orders(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => cache.has_orders(),
-            PoolState::Sharded { sp, .. } => sp.is_warm(),
-        })
+        self.pools.get(&pool.0).is_some_and(|entry| entry.sp.has_orders())
     }
 
     /// Whether the state `task` actually consumes is warm: solved
@@ -1991,73 +1645,43 @@ impl JuryService {
 
     /// The cached odd-size JER profile of `pool` (computed on demand):
     /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`.
-    /// Fresh builds are bit-identical between flat and sharded pools
-    /// (both run the same sequential pushes over the same ε-sorted
-    /// order). After juror mutations a flat pool's materialised profile
-    /// is *repaired in place* — entries whose prefix is untouched are
-    /// reused verbatim, the suffix resumes from the pmf ladder — so
-    /// repaired entries are only *numerically* equal to a rebuild
-    /// (within [`PROBE_REPAIR_TOL`], like
-    /// [`jer_probe`](JuryService::jer_probe); see the crate docs).
+    /// Fresh builds are bit-identical for every shard count (the same
+    /// sequential pushes over the same ε-sorted order). The first read
+    /// also lays the pmf ladders. After juror mutations a one-shard
+    /// pool's materialised profile is *repaired in place* — entries
+    /// whose prefix is untouched are reused verbatim, the suffix resumes
+    /// from the ladder — so repaired entries are only *numerically*
+    /// equal to a rebuild (within [`PROBE_REPAIR_TOL`], like
+    /// [`jer_probe`](JuryService::jer_probe); see the crate docs). A
+    /// K-shard pool's profile is rebuilt after a mutation.
     pub fn jer_profile(&mut self, pool: PoolId) -> Result<&[(usize, f64)], ServiceError> {
-        self.warm_pool(pool)?;
-        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
-        match state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => unreachable!("warmed above"),
-                FlatCache::Private(c) => {
-                    if c.profile.is_none() {
-                        // The ladder gives future profile repairs their
-                        // resume checkpoints; build it alongside.
-                        if c.ladder.is_none() {
-                            c.ladder = Some(PmfLadder::build(&c.eps_sorted));
-                        }
-                        c.profile = Some(JerProfile::build(&c.eps_sorted));
-                    }
-                    Ok(c.profile.as_ref().expect("built above").entries())
-                }
-                FlatCache::Shared(sf) => {
-                    // The profile is rank-space (a function of the sorted
-                    // ε values alone), so one shared build serves every
-                    // attacher, permuted ones included. The ladder is
-                    // laid alongside like the private path, so a later
-                    // detach repairs it instead of rebuilding.
-                    let set = &sf.link.set;
-                    let profile = set.profile_or_init(|| {
-                        set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
-                        Arc::new(JerProfile::build(&set.eps_sorted))
-                    });
-                    Ok(profile.entries())
-                }
-            },
-            PoolState::Sharded { sp, link } => {
-                // Seed a missing profile from the attached entry, and
-                // publish a freshly built one back to it — rank-space,
-                // bit-identical across equal pools either way.
-                if !sp.has_profile() {
-                    if let Some(shared) = link.as_ref().and_then(|l| l.set.profile.get()) {
-                        sp.seed_profile(shared.clone());
-                    }
-                }
-                let profile = sp.ensure_profile(jurors);
-                if let Some(l) = link.as_ref() {
-                    l.set.set_profile(profile.clone());
-                }
-                Ok(profile.entries())
+        self.warm_orders(pool)?;
+        let PoolEntry { jurors, sp, link, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
+        // Seed a missing profile from the attached entry, and publish a
+        // freshly built one back to it — bit-identical across equal
+        // pools either way.
+        if sp.profile().is_none() {
+            if let Some(shared) = link.as_ref().and_then(|l| l.set.profile.get()) {
+                sp.seed_profile(shared.clone());
             }
         }
+        let laid = sp.lay_ladders();
+        let profile = sp.ensure_profile(jurors);
+        if let Some(link) = link {
+            link.set.set_profile(profile.clone());
+            if laid {
+                link.set.note_mutation();
+            }
+        }
+        Ok(profile.entries())
     }
 
     /// The cached reliability order of `pool`: positions sorted ascending
     /// by ε (ties by position). `order[..k]` is the best fixed-size-`k`
     /// jury by Lemma 3.
     pub fn reliability_order(&mut self, pool: PoolId) -> Result<&[usize], ServiceError> {
-        self.warm_pool(pool)?;
-        let entry = &self.pools[&pool.0];
-        match &entry.state {
-            PoolState::Flat { cache } => Ok(cache.eps_order().expect("warmed above")),
-            PoolState::Sharded { sp, .. } => Ok(sp.merged_eps_order().expect("warmed above")),
-        }
+        self.warm_orders(pool)?;
+        Ok(self.pools[&pool.0].sp.eps_order().expect("warmed above"))
     }
 
     /// JER of the best `n`-juror jury of `pool` (odd `n`, clamped to the
@@ -2065,16 +1689,16 @@ impl JuryService {
     /// [`AltrAlg::solve_fixed_size`]) — a point query on the Figure 3(a)
     /// curve without materialising the whole profile.
     ///
-    /// Flat pools resume the prefix distribution from their own
-    /// checkpoint ladder (built on the first probe); sharded pools merge
-    /// per-shard prefix pmfs (resumed from their ladders) by
-    /// convolution. The paths agree within convolution rounding — and,
-    /// after deconvolution-repaired mutations, within
-    /// [`PROBE_REPAIR_TOL`] of a from-scratch evaluation — so this query
-    /// is *numerically* stable but deliberately outside the bit-identity
-    /// contract (see the crate docs).
+    /// Each shard resumes its prefix distribution from its checkpoint
+    /// ladder (laid on the first probe or profile read); a prefix spread
+    /// over several shards is combined by convolution. The answer agrees
+    /// with a fresh sequential evaluation within convolution rounding —
+    /// and, after deconvolution-repaired mutations, within
+    /// [`PROBE_REPAIR_TOL`] — so this query is *numerically* stable but
+    /// deliberately outside the bit-identity contract (see the crate
+    /// docs).
     ///
-    /// Probing warms only what it reads: on a cold flat pool the sorted
+    /// Probing warms only what it reads: on a cold pool the sorted
     /// orders are built (`O(N log N)`) *without* the `O(N²)` profile and
     /// AltrM solve; a later [`JuryService::warm_pool`] reuses them.
     ///
@@ -2084,7 +1708,7 @@ impl JuryService {
     /// [`JuryError::EvenJurySize`]).
     pub fn jer_probe(&mut self, pool: PoolId, n: usize) -> Result<f64, ServiceError> {
         self.warm_orders(pool)?;
-        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
+        let PoolEntry { jurors, sp, link, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
         if jurors.is_empty() {
             return Err(ServiceError::Solver(JuryError::EmptyPool));
         }
@@ -2095,72 +1719,11 @@ impl JuryService {
             return Err(ServiceError::Solver(JuryError::EvenJurySize(n)));
         }
         let len = jurors.len();
-        let n = n.min(if len % 2 == 1 { len } else { len - 1 });
-        match state {
-            PoolState::Flat { cache } => {
-                let (ladder, eps_sorted): (&PmfLadder, &[f64]) = match cache {
-                    FlatCache::Cold => unreachable!("warmed above"),
-                    FlatCache::Private(c) => (
-                        c.ladder.get_or_insert_with(|| PmfLadder::build(&c.eps_sorted)),
-                        &c.eps_sorted,
-                    ),
-                    FlatCache::Shared(sf) => {
-                        // Rank-space: one shared ladder serves every
-                        // attacher, permuted ones included.
-                        let set = &sf.link.set;
-                        (set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted)), &set.eps_sorted)
-                    }
-                };
-                let mut pmf = PoiBin::empty();
-                ladder.prefix_into(eps_sorted, n, &mut pmf);
-                Ok(pmf.tail(JerEngine::majority_threshold(n)))
-            }
-            PoolState::Sharded { sp, .. } => Ok(sp.jer_probe(n)),
+        let (jer, laid) = sp.jer_probe(n.min(if len % 2 == 1 { len } else { len - 1 }));
+        if let (true, Some(link)) = (laid, link) {
+            link.set.note_mutation();
         }
-    }
-
-    /// Warms only the sorted orders: full [`JuryService::warm_pool`] for
-    /// sharded pools (their warm is already order-level — the AltrM
-    /// solve stays lazy), an orders-only attach or build for cold flat
-    /// pools so order consumers like [`JuryService::jer_probe`] never
-    /// pay for the pmf-derived artefacts they do not read. An attach
-    /// shares whatever the entry already holds; an orders-only build is
-    /// published with its lazy slots empty, filled later by whichever
-    /// attached pool first needs them.
-    fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        if self.is_sharded(pool)? {
-            return self.warm_pool(pool);
-        }
-        let share = self.config.share_artifacts;
-        let config_bits = config_key(&self.config);
-        let max_age = self.config.max_snapshot_age;
-        let threads = self.config.threads;
-        let Self { pools, store, stats, snapshots, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).expect("checked above");
-        if let PoolState::Flat { cache } = &mut entry.state {
-            if matches!(cache, FlatCache::Cold) {
-                let key =
-                    StoreKey { fp: entry.fp.key(), layout: LayoutKey::Flat, config: config_bits };
-                if share {
-                    restore_into_store(
-                        store,
-                        snapshots.as_ref(),
-                        &key,
-                        &entry.jurors,
-                        max_age,
-                        &mut stats.snapshot_restores,
-                        &mut stats.snapshot_rejections,
-                        &mut stats.stale_snapshot_skips,
-                    );
-                }
-                let (acquired, attached) = acquire_flat(store, key, &entry.jurors, share, || {
-                    build_orders_only(&entry.jurors, threads)
-                });
-                stats.artifact_share_hits += usize::from(attached);
-                *cache = acquired;
-            }
-        }
-        Ok(())
+        Ok(jer)
     }
 
     // ------------------------------------------------------------------
@@ -2170,7 +1733,7 @@ impl JuryService {
     /// Solves one task, warming the pool cache if needed.
     ///
     /// Members, JER and cost are bit-identical to [`AltrAlg::solve`] /
-    /// [`PayAlg::solve`] on the pool's current jurors, flat or sharded
+    /// [`PayAlg::solve`] on the pool's current jurors, for any shard count
     /// (AltrM solver *stats* reflect the service's bound-pruned scan;
     /// see the crate docs). A warm PayM task whose budget falls inside a
     /// recorded staircase step is answered without a greedy rescan
@@ -2212,7 +1775,7 @@ impl JuryService {
         let was_warm = self.is_warm(task.pool);
         let had_orders = self.has_orders(task.pool);
         let full_repairs_before = self.stats.full_repairs;
-        self.prepare(task)?;
+        self.warm_altr(task.pool)?;
         if had_orders {
             debug_assert_eq!(
                 self.stats.full_repairs, full_repairs_before,
@@ -2252,53 +1815,7 @@ impl JuryService {
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
         let entry = self.pools.get_mut(&pool.0).expect("warmed above");
-        let mut hit = false;
-        let result = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => pay.solve_with(&entry.jurors, &mut scratch),
-                FlatCache::Private(c) => {
-                    hit = c.staircase.covers(budget);
-                    pay.solve_staircase(
-                        &entry.jurors,
-                        &c.greedy_order,
-                        &mut c.staircase,
-                        &mut scratch,
-                    )
-                }
-                FlatCache::Shared(sf) => match &mut sf.view {
-                    None => {
-                        // Recording happens under the registry's
-                        // exclusive borrow; batch workers only take the
-                        // read lock for replays.
-                        let set = &sf.link.set;
-                        let mut staircase = set.staircase_write();
-                        hit = staircase.covers(budget);
-                        pay.solve_staircase(
-                            &entry.jurors,
-                            &set.greedy_order,
-                            &mut staircase,
-                            &mut scratch,
-                        )
-                    }
-                    Some(view) => {
-                        hit = view.staircase.covers(budget);
-                        pay.solve_staircase(
-                            &entry.jurors,
-                            &view.greedy_order,
-                            &mut view.staircase,
-                            &mut scratch,
-                        )
-                    }
-                },
-            },
-            PoolState::Sharded { sp, .. } => match sp.paym_cache() {
-                Some((order, staircase)) => {
-                    hit = staircase.covers(budget);
-                    pay.solve_staircase(&entry.jurors, order, staircase, &mut scratch)
-                }
-                None => pay.solve_with(&entry.jurors, &mut scratch),
-            },
-        };
+        let (result, hit) = entry.solve_staircase(&pay, budget, &mut scratch);
         self.scratches.push(scratch);
         if hit {
             self.stats.staircase_hits += 1;
@@ -2422,24 +1939,20 @@ impl JuryService {
         }
 
         // Warm every referenced pool once — AltrM tasks fully (solved
-        // artefacts included), PayM tasks orders-only plus the repeated
-        // budgets' staircase steps, recorded here sequentially so the
-        // workers replay them read-only. Unknown pools fail per-task
-        // below so the batch result stays positional.
+        // answer included, so workers replay it read-only instead of
+        // each re-running the scan), PayM tasks orders-only plus the
+        // repeated budgets' staircase steps, recorded here sequentially
+        // so the workers replay them read-only. Unknown pools fail
+        // per-task below so the batch result stays positional.
         let mut warmed: Vec<u64> = Vec::with_capacity(tasks.len().min(self.pools.len()));
         let mut orders_warmed: Vec<u64> = Vec::new();
-        let mut altr_prepared: Vec<u64> = Vec::new();
         let mut budgets_recorded: Vec<(u64, u64)> = Vec::new();
         for task in tasks {
             match task.model {
                 CrowdModel::Altruism => {
                     if !warmed.contains(&task.pool.0) {
                         warmed.push(task.pool.0);
-                        let _ = self.warm_pool(task.pool);
-                    }
-                    if !altr_prepared.contains(&task.pool.0) {
-                        altr_prepared.push(task.pool.0);
-                        let _ = self.prepare(task);
+                        let _ = self.warm_altr(task.pool);
                     }
                 }
                 CrowdModel::PayAsYouGo { budget } => {
@@ -2546,17 +2059,7 @@ impl JuryService {
 
     /// Whether the pool's warm staircase already covers `budget`.
     fn staircase_covers(&self, pool: PoolId, budget: f64) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => false,
-                FlatCache::Private(c) => c.staircase.covers(budget),
-                FlatCache::Shared(sf) => match &sf.view {
-                    None => sf.link.set.staircase_read().covers(budget),
-                    Some(view) => view.staircase.covers(budget),
-                },
-            },
-            PoolState::Sharded { sp, .. } => sp.staircase_covers(budget),
-        })
+        self.pools.get(&pool.0).is_some_and(|entry| entry.staircase_covers(budget))
     }
 
     /// Runs one staircase-recording scan for `(pool, budget)` so batch
@@ -2566,81 +2069,11 @@ impl JuryService {
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
         if let Some(entry) = self.pools.get_mut(&pool.0) {
-            match &mut entry.state {
-                PoolState::Flat { cache } => match cache {
-                    FlatCache::Cold => {}
-                    FlatCache::Private(c) => {
-                        let _ = pay.solve_staircase(
-                            &entry.jurors,
-                            &c.greedy_order,
-                            &mut c.staircase,
-                            &mut scratch,
-                        );
-                    }
-                    FlatCache::Shared(sf) => match &mut sf.view {
-                        None => {
-                            let set = &sf.link.set;
-                            let mut staircase = set.staircase_write();
-                            let _ = pay.solve_staircase(
-                                &entry.jurors,
-                                &set.greedy_order,
-                                &mut staircase,
-                                &mut scratch,
-                            );
-                        }
-                        Some(view) => {
-                            let _ = pay.solve_staircase(
-                                &entry.jurors,
-                                &view.greedy_order,
-                                &mut view.staircase,
-                                &mut scratch,
-                            );
-                        }
-                    },
-                },
-                PoolState::Sharded { sp, .. } => {
-                    if let Some((order, staircase)) = sp.paym_cache() {
-                        let _ = pay.solve_staircase(&entry.jurors, order, staircase, &mut scratch);
-                    }
-                }
+            if entry.sp.has_orders() {
+                let _ = entry.solve_staircase(&pay, budget, &mut scratch);
             }
         }
         self.scratches.push(scratch);
-    }
-
-    /// Warms the task's pool, including the lazy AltrM selection of a
-    /// sharded pool when the task needs it (workers then replay it
-    /// read-only instead of each re-running the scan).
-    fn prepare(&mut self, task: &DecisionTask) -> Result<(), ServiceError> {
-        self.warm_pool(task.pool)?;
-        if matches!(task.model, CrowdModel::Altruism) {
-            let altr_config = self.config.altr;
-            let mut scratch = self.scratches.pop().unwrap_or_default();
-            let mut pruned = 0usize;
-            if let Some(PoolEntry { jurors, state: PoolState::Sharded { sp, link }, .. }) =
-                self.pools.get_mut(&task.pool.0)
-            {
-                if sp.cached_altr().is_none() {
-                    // An attached entry's answer rides the identical
-                    // merged order — seed it instead of re-solving; a
-                    // fresh solve is published back for siblings.
-                    let seeded = link.as_ref().and_then(|l| l.set.altr.get()).cloned();
-                    match seeded {
-                        Some(answer) => sp.seed_altr(answer),
-                        None => {
-                            let answer = sp.ensure_altr(jurors, &altr_config, &mut scratch).clone();
-                            pruned = altr_pruned(Some(&answer));
-                            if let Some(l) = link.as_ref() {
-                                l.set.set_altr(answer);
-                            }
-                        }
-                    }
-                }
-            }
-            self.scratches.push(scratch);
-            self.stats.bound_pruned += pruned;
-        }
-        Ok(())
     }
 
     /// Single-task solve assuming `warm_pool` already ran for its pool.
@@ -2694,364 +2127,80 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
 /// The worker count for a configured `threads` (0 = one per available
 /// core). Asking the OS costs system calls, so hot paths resolve it
 /// only when they are about to fan out.
-fn effective_threads(configured: usize) -> usize {
+pub(crate) fn effective_threads(configured: usize) -> usize {
     if configured != 0 {
         return configured;
     }
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
-/// Smallest pool whose cold build sorts the greedy order on a second
-/// thread. Below it the spawn (tens of µs) is a visible share of the
-/// sort it moves off the critical path. Timed as the median of 401–601
-/// alternating flat cold builds (`create_pool` + `warm_pool`, threads 1
-/// vs 2, on 2 vCPUs), the thread cost 5–54% at 1,024–1,536 jurors, went
-/// either way at 2,048–3,072 (0.69–1.53× as the host's speed drifted),
-/// and won at 4,096 and above in every run (0.68–1.01× at 4,096,
-/// 0.67–0.84× at 6,144–8,192).
-const PARALLEL_BUILD_MIN: usize = 4_096;
-
-/// Builds every eagerly-cached artefact for one flat-pool snapshot:
-/// the sorted orders plus the AltrM answer (profile and ladder stay
-/// lazy). With more than one worker (`threads` as configured, see
-/// [`ServiceConfig::threads`]) and a large pool the greedy order is
-/// sorted on a scoped thread while this one sorts by ε and runs the
-/// AltrM scan.
-fn build_full_cache(
+/// Runs a degeneracy check after a membership-changing mutation and,
+/// under [`ShardConfig::rebalance`], heals what it flags.
+fn rebalance_if_degenerate(
+    sp: &mut ShardedPool,
     jurors: &[Juror],
-    altr: &AltrConfig,
-    scratch: &mut SolverScratch,
-    threads: usize,
-) -> PoolCache {
-    let ((eps_order, eps_sorted, answer), greedy_order) =
-        beside_greedy_order(jurors, threads, || {
-            let (eps_order, eps_sorted) = eps_orders(jurors);
-            let answer = solve_altr_cached(jurors, &eps_order, Some(&eps_sorted), altr, scratch);
-            (eps_order, eps_sorted, answer)
-        });
-    let mut cache = orders_cache(eps_order, eps_sorted, greedy_order);
-    cache.altr = Some(answer);
-    cache
-}
-
-/// Builds just the sorted orders (no solve, no profile) — the cache
-/// state an `update_juror` repair also leaves behind; `warm_pool`
-/// completes it with a rescan-free bound-pruned solve on demand. The
-/// two sorts run side by side as in [`build_full_cache`].
-fn build_orders_only(jurors: &[Juror], threads: usize) -> PoolCache {
-    let ((eps_order, eps_sorted), greedy_order) =
-        beside_greedy_order(jurors, threads, || eps_orders(jurors));
-    orders_cache(eps_order, eps_sorted, greedy_order)
-}
-
-/// Runs `work` on this thread and sorts the greedy order beside it: on
-/// a scoped thread when the pool has at least [`PARALLEL_BUILD_MIN`]
-/// jurors and the configured `threads` resolve to more than one worker,
-/// after `work` otherwise.
-fn beside_greedy_order<T>(
-    jurors: &[Juror],
-    threads: usize,
-    work: impl FnOnce() -> T,
-) -> (T, Vec<usize>) {
-    let greedy = || {
-        let mut order = Vec::new();
-        visit_order(jurors, 0..jurors.len(), VisitOrder::Greedy, &mut order);
-        order
-    };
-    if jurors.len() < PARALLEL_BUILD_MIN || effective_threads(threads) < 2 {
-        let done = work();
-        return (done, greedy());
+    config: ShardConfig,
+    effect: &mut MutationEffect,
+) {
+    effect.newly_degenerate = sp.refresh_degeneracy(config.degenerate_percent);
+    if config.rebalance && effect.newly_degenerate > 0 {
+        effect.rebalanced = sp.rebalance(jurors, config.degenerate_percent);
+        sp.refresh_degeneracy(config.degenerate_percent);
     }
-    std::thread::scope(|scope| {
-        let sorter = scope.spawn(greedy);
-        let done = work();
-        (done, sorter.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-    })
-}
-
-/// The ε-sorted order and the rates aligned with it.
-fn eps_orders(jurors: &[Juror]) -> (Vec<usize>, Vec<f64>) {
-    let mut eps_order = Vec::new();
-    visit_order(jurors, 0..jurors.len(), VisitOrder::Eps, &mut eps_order);
-    let eps_sorted = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-    (eps_order, eps_sorted)
-}
-
-/// A flat cache holding the two orders and nothing derived yet.
-fn orders_cache(
-    eps_order: Vec<usize>,
-    eps_sorted: Vec<f64>,
-    greedy_order: Vec<usize>,
-) -> PoolCache {
-    PoolCache {
-        eps_order,
-        eps_sorted,
-        greedy_order,
-        altr: None,
-        profile: None,
-        ladder: None,
-        staircase: Staircase::new(),
-    }
-}
-
-/// Repairs a materialised JER profile in place after the flat pool's
-/// sorted run changed at `rank` (the lowest affected rank): entries for
-/// prefixes below the rank are reused verbatim, the suffix is re-derived
-/// by sequential pushes resumed from the deepest pmf-ladder checkpoint
-/// at or below the rank. The ladder must already be repaired for the
-/// post-mutation run. Resumed entries carry the checkpoint's lineage —
-/// numerically within [`PROBE_REPAIR_TOL`] of a rebuild, outside the
-/// bit-identity contract (nothing on a solver path reads a profile).
-fn repair_profile(cache: &mut PoolCache, rank: usize, effect: &mut MutationEffect) {
-    let Some(profile) = cache.profile.as_mut() else {
-        return;
-    };
-    let mut pmf = PoiBin::empty();
-    let resume = match cache.ladder.as_ref().and_then(|l| l.resume_for(rank)) {
-        Some((len, checkpoint)) => {
-            pmf.copy_from(checkpoint);
-            len
-        }
-        None => 0,
-    };
-    profile.repair_from(&cache.eps_sorted, rank, resume, &mut pmf);
-    effect.profile_repaired = true;
-}
-
-/// Repairs a flat cache after `jurors[idx]` was replaced (its old rate
-/// was `old_eps`): one remove + one insert per sorted order (`O(n)`
-/// memmoves, no re-sort), one factor division per affected pmf-ladder
-/// checkpoint, and an in-place profile repair (prefix entries reused
-/// verbatim). The orders are total with distinct keys, so remove +
-/// rank-insert lands on exactly the permutation a full re-sort would
-/// produce. Only the AltrM answer is dropped — the selection it holds
-/// may genuinely change — and the next AltrM task re-solves it
-/// rescan-free with the bound-pruned scan; the budget staircase is
-/// cleared likewise.
-fn repair_flat_update(
-    cache: &mut PoolCache,
-    jurors: &[Juror],
-    idx: usize,
-    old: &Juror,
-) -> MutationEffect {
-    let (r_old, r_new) =
-        reinsert_eps(&mut cache.eps_order, Some(&mut cache.eps_sorted), jurors, idx, old);
-    reinsert_greedy(&mut cache.greedy_order, jurors, idx, old);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_update(&cache.eps_sorted, old.epsilon(), r_old, r_new) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(cache, r_old.min(r_new), &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
-}
-
-/// Repairs a flat cache after `jurors[idx]` was removed: one remove per
-/// sorted order plus a renumbering pass (positions above `idx` shift
-/// down, preserving both total orders), one factor division per
-/// affected ladder checkpoint, and an in-place profile repair.
-fn repair_flat_remove(cache: &mut PoolCache, idx: usize) -> MutationEffect {
-    let pos = cache.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
-    let old_eps = cache.eps_sorted[pos];
-    cache.eps_sorted.remove(pos);
-    renumber_out(&mut cache.eps_order, idx);
-    renumber_out(&mut cache.greedy_order, idx);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_remove(&cache.eps_sorted, old_eps, pos) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(cache, pos, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
-}
-
-/// Repairs a flat cache after a juror was appended at pool position
-/// `idx`: one rank-insert per sorted order, one [`PoiBin::push`] per
-/// affected ladder checkpoint (inserts never need deconvolution), and
-/// an in-place profile repair. Like the other repairs, only the AltrM
-/// answer and the staircase drop.
-fn repair_flat_insert(cache: &mut PoolCache, jurors: &[Juror], idx: usize) -> MutationEffect {
-    let r_new =
-        shard::rank_insert_eps(&mut cache.eps_order, Some(&mut cache.eps_sorted), jurors, idx);
-    shard::rank_insert_greedy(&mut cache.greedy_order, jurors, idx);
-
-    let mut effect = MutationEffect {
-        invalidated: true,
-        orders_repaired: true,
-        insert_repaired: true,
-        ..Default::default()
-    };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        ladder.repair_insert(&cache.eps_sorted, r_new);
-        effect.pmf_repaired = true;
-    }
-    repair_profile(cache, r_new, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
 }
 
 /// Dispatches one task against a warm (or deliberately cold) entry.
 ///
 /// AltrM replays the cached selection by bumping its [`Arc`] (the
-/// owned-result APIs copy it out afterwards); PayM replays the cached
-/// greedy order through the scratch-threaded scan. A cold cache
-/// (possible when `warm_pool` was skipped for an unknown pool that has
-/// since appeared) falls back to the direct solver — same selections
-/// either way.
+/// owned-result APIs copy it out afterwards); PayM replays the budget
+/// staircase or scans the cached greedy order. A cold pool (possible
+/// when `warm_pool` was skipped for an unknown pool that has since
+/// appeared) falls back to the direct solver — same selections either
+/// way.
 fn solve_on_entry(
     entry: &PoolEntry,
     task: &DecisionTask,
     config: &ServiceConfig,
     scratch: &mut SolverScratch,
 ) -> Result<Arc<Selection>, ServiceError> {
-    match &entry.state {
-        PoolState::Flat { cache } => match (task.model, cache) {
-            (CrowdModel::Altruism, FlatCache::Private(cache)) => match cache.altr.as_ref() {
-                Some(answer) => answer.clone().map_err(ServiceError::from),
-                None => solve_altr_cached(
-                    &entry.jurors,
-                    &cache.eps_order,
-                    Some(&cache.eps_sorted),
-                    &config.altr,
-                    scratch,
-                )
-                .map_err(ServiceError::from),
-            },
-            (CrowdModel::Altruism, FlatCache::Shared(sf)) => match &sf.view {
-                None => {
-                    // `altr_or_init` is thread-safe: the first worker to
-                    // need an unfilled answer solves it once for every
-                    // attached pool.
-                    let set = &sf.link.set;
-                    set.altr_or_init(|| {
-                        solve_altr_cached(
-                            &entry.jurors,
-                            &set.eps_order,
-                            Some(&set.eps_sorted),
-                            &config.altr,
-                            scratch,
-                        )
-                    })
-                    .clone()
-                    .map_err(ServiceError::from)
-                }
-                Some(view) => match &view.altr {
-                    Some(answer) => answer.clone().map_err(ServiceError::from),
-                    // `prepare` fills the view before workers run; this
-                    // fallback keeps stray cold paths correct without
-                    // mutating the (shared) registry.
-                    None => match sf.link.set.altr.get() {
-                        Some(Ok(sel)) => {
-                            Ok(Arc::new(translate_selection(sel, &view.sigma, &entry.jurors)))
-                        }
-                        Some(Err(e)) => Err(ServiceError::from(e.clone())),
-                        None => solve_altr_cached(
-                            &entry.jurors,
-                            &view.eps_order,
-                            None,
-                            &config.altr,
-                            scratch,
-                        )
-                        .map_err(ServiceError::from),
-                    },
-                },
-            },
-            (CrowdModel::Altruism, FlatCache::Cold) => AltrAlg::new(config.altr)
-                .solve_with(&entry.jurors, scratch)
-                .map(Arc::new)
-                .map_err(ServiceError::from),
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Private(cache)) => {
-                match cache.staircase.lookup(budget) {
-                    Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, &cache.greedy_order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                }
+    let (jurors, sp) = (&entry.jurors, &entry.sp);
+    let result = match task.model {
+        CrowdModel::Altruism => match (sp.altr(), sp.eps_order()) {
+            (Some(answer), _) => answer.clone(),
+            (None, Some(order)) => {
+                solve_altr_cached(jurors, order, sp.eps_run(), &config.altr, scratch)
             }
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Shared(sf)) => {
-                let (greedy_order, replay) = match &sf.view {
-                    None => {
-                        (&*sf.link.set.greedy_order, sf.link.set.staircase_read().lookup(budget))
-                    }
-                    Some(view) => (&view.greedy_order, view.staircase.lookup(budget)),
-                };
-                match replay {
-                    Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, greedy_order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                }
-            }
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Cold) => PayAlg::new(budget, config.pay)
-                .solve_with(&entry.jurors, scratch)
-                .map(Arc::new)
-                .map_err(ServiceError::from),
+            (None, None) => AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new),
         },
-        PoolState::Sharded { sp, .. } => match task.model {
-            CrowdModel::Altruism => {
-                if let Some(result) = sp.cached_altr() {
-                    result.clone().map_err(ServiceError::from)
-                } else if let Some(order) = sp.merged_eps_order() {
-                    solve_altr_cached(&entry.jurors, order, None, &config.altr, scratch)
-                        .map_err(ServiceError::from)
-                } else {
-                    AltrAlg::new(config.altr)
-                        .solve_with(&entry.jurors, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from)
+        CrowdModel::PayAsYouGo { budget } => match entry.staircase_lookup(budget) {
+            Some(replay) => replay.map(Arc::new),
+            None => {
+                let pay = PayAlg::new(budget, config.pay);
+                match sp.greedy_order() {
+                    Some(order) => pay.solve_presorted(jurors, order, scratch),
+                    None => pay.solve_with(jurors, scratch),
                 }
+                .map(Arc::new)
             }
-            CrowdModel::PayAsYouGo { budget } => match sp.staircase_lookup(budget) {
-                Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                None => match sp.merged_greedy_order() {
-                    Some(order) => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_with(&entry.jurors, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                },
-            },
         },
-    }
+    };
+    result.map_err(ServiceError::from)
 }
 
 /// Seeds the store from the snapshot catalog before an attach: when
 /// `key` is not interned and the catalog holds a candidate, the first
 /// fully-verified entry is published so the ordinary attach path that
-/// follows finds it warm. Counts into the two snapshot stats; a
-/// rejected or absent candidate simply leaves the store unchanged (the
-/// caller cold-builds). No-op without a catalog or when the key is
-/// already interned (live state always wins).
-#[allow(clippy::too_many_arguments)]
+/// follows finds it warm. Counts into the snapshot stats; a rejected or
+/// absent candidate simply leaves the store unchanged (the caller
+/// cold-builds). No-op without a catalog or when the key is already
+/// interned (live state always wins).
 fn restore_into_store(
     store: &mut ArtifactStore,
     catalog: Option<&snapshot::Catalog>,
     key: &StoreKey,
     jurors: &[Juror],
     max_age: Option<Duration>,
-    restores: &mut usize,
-    rejections: &mut usize,
-    stale_skips: &mut usize,
+    stats: &mut ServiceStats,
 ) {
     let Some(catalog) = catalog else { return };
     if store.contains(key) {
@@ -3062,170 +2211,60 @@ fn restore_into_store(
     // counted, never an error — and the pool cold-builds. Only pools
     // the snapshot could actually have served count a skip.
     if catalog.has_candidates(&key.fp) && catalog.is_stale(max_age) {
-        *stale_skips += 1;
+        stats.stale_snapshot_skips += 1;
         return;
     }
     let attempt = catalog.restore(key, jurors);
-    *rejections += attempt.rejections;
+    stats.snapshot_rejections += attempt.rejections;
     if let Some(set) = attempt.set {
-        if store.publish(*key, set).is_ok() {
-            *restores += 1;
+        if store.publish(*key, set).is_some() {
+            stats.snapshot_restores += 1;
         }
     }
 }
 
-/// The one place a cold flat pool acquires warm state: attach to an
-/// interned entry when the store admits the pool, otherwise run `build`
-/// and publish the result (an occupied key that refused the attach
-/// keeps its incumbent and the builder stays private, losslessly).
-/// Returns the new cache plus whether it *attached* (the caller's
-/// share-hit accounting). With sharing off this is exactly the old
-/// private build.
-fn acquire_flat(
+/// Serves a pool's warm state from the interned `set` (identical
+/// content): the pool adopts the entry's shard layer and merged orders
+/// and seeds its AltrM answer and profile from it. Returns how many
+/// shards the pool had to build privately (a K-shard partition that
+/// differs from the entry's).
+fn attach(sp: &mut ShardedPool, set: &ArtifactSet, jurors: &[Juror], threads: usize) -> usize {
+    let built = sp.adopt(&set.layer, set.merged.as_ref(), jurors, threads);
+    if let Some(answer) = set.altr.get() {
+        sp.seed_altr(answer.clone());
+    }
+    if let Some(profile) = set.profile.get() {
+        sp.seed_profile(profile.clone());
+    }
+    built
+}
+
+/// Releases a pool's store attachment ahead of a mutation or reset —
+/// the copy-on-write boundary. Repairs write through `Arc::make_mut`,
+/// so a sole holder, whose release evicts the entry, repairs its runs
+/// zero-copy, while a pool with siblings clones exactly the runs it
+/// touches. Under the TTL eviction policy (`ttl_enabled`) the entry
+/// survives as a stamped orphan — the pre-mutation content stays warm
+/// for a re-join within the TTL — so even a sole holder's repairs clone.
+/// Returns `Some(had_siblings)` when a link was released.
+fn detach(
     store: &mut ArtifactStore,
-    key: StoreKey,
-    jurors: &[Juror],
-    share: bool,
-    build: impl FnOnce() -> PoolCache,
-) -> (FlatCache, bool) {
-    if share {
-        if let Some(shared) = attach_flat(store, key, jurors) {
-            return (shared, true);
-        }
-    }
-    let built = build();
-    if !share {
-        return (FlatCache::Private(built), false);
-    }
-    let cache = match store.publish(key, ArtifactSet::from_cache(built, jurors)) {
-        Ok(set) => FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: None }),
-        Err(set) => FlatCache::Private(set.into_cache()),
-    };
-    (cache, false)
-}
-
-/// Attaches a flat pool to the interned entry at `key`, if one exists
-/// and its content admits this pool: sequence-identical attachers share
-/// the entry outright, permuted-but-equal ones get a σ-translated
-/// position-space view. Returns `None` when there is no entry or the
-/// verification refuses (content differs, or a tie-violating entry
-/// cannot serve a permuted attacher). The single place the attach rules
-/// live — registration ([`JuryService::warm_pool`] /
-/// [`JuryService::warm_orders`]) and post-mutation re-join
-/// ([`JuryService::settle_after_mutation`]) all route through it.
-fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<FlatCache> {
-    let set = store.get(&key)?;
-    let attach = set.match_pool(jurors)?;
-    Some(match attach {
-        Attach::Identical => {
-            FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: None })
-        }
-        Attach::Permuted(sigma) => {
-            let view = PermutedView::new(&set, sigma);
-            FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: Some(view) })
-        }
-    })
-}
-
-/// Drops a flat pool's shared attachment *without* materialising a
-/// private copy — for mutations that immediately discard the flat cache
-/// anyway (shard promotion). Same return contract as [`detach_pool`].
-fn discard_flat_share(
-    store: &mut ArtifactStore,
-    state: &mut PoolState,
+    link: &mut Option<StoreLink>,
     ttl_enabled: bool,
 ) -> Option<bool> {
-    let PoolState::Flat { cache } = state else {
-        return None;
-    };
-    if !matches!(cache, FlatCache::Shared(_)) {
-        return None;
-    }
-    let FlatCache::Shared(sf) = std::mem::replace(cache, FlatCache::Cold) else {
-        unreachable!("checked above");
-    };
-    let key = sf.link.key;
-    let had_siblings = Arc::strong_count(&sf.link.set) > 2;
-    drop(sf);
+    let taken = link.take()?;
+    let had_siblings = Arc::strong_count(&taken.set) > 2;
+    let key = taken.key;
+    drop(taken);
     store.release(&key, ttl_enabled);
     Some(had_siblings)
-}
-
-/// Converts a pool's shared warm state into privately-owned state ahead
-/// of a mutation's in-place repair — the copy-on-write boundary. A sole
-/// holder reclaims the interned artifacts zero-copy (the entry is
-/// removed and unwrapped); a pool with siblings clones exactly what the
-/// repair will touch and leaves the entry to them. Under the TTL
-/// eviction policy (`ttl_enabled`) the sole-holder fast path is
-/// deliberately skipped: the entry survives as a stamped orphan — the
-/// pre-mutation content stays warm for a re-join within the TTL — at the
-/// cost of cloning instead of reclaiming. Returns `Some(had_siblings)`
-/// when a detach happened, `None` for cold and already-private pools.
-fn detach_pool(
-    store: &mut ArtifactStore,
-    state: &mut PoolState,
-    ttl_enabled: bool,
-) -> Option<bool> {
-    match state {
-        PoolState::Flat { cache } => {
-            if !matches!(cache, FlatCache::Shared(_)) {
-                return None;
-            }
-            let FlatCache::Shared(sf) = std::mem::replace(cache, FlatCache::Cold) else {
-                unreachable!("checked above");
-            };
-            let had_siblings = Arc::strong_count(&sf.link.set) > 2;
-            if !ttl_enabled {
-                store.take_if_sole(&sf.link.key, &sf.link.set);
-            }
-            let SharedFlat { link: StoreLink { key, set }, view } = sf;
-            let private = match view {
-                None => match Arc::try_unwrap(set) {
-                    Ok(owned) => owned.into_cache(),
-                    Err(set) => {
-                        let cloned = set.cache_clone();
-                        drop(set);
-                        store.release(&key, ttl_enabled);
-                        cloned
-                    }
-                },
-                Some(view) => {
-                    // Same rank-space reclaim as an identical-sequence
-                    // detach (zero-copy for a sole holder); only the
-                    // position-space orders come from the σ-translated
-                    // view.
-                    let mut private = match Arc::try_unwrap(set) {
-                        Ok(owned) => owned.into_cache(),
-                        Err(set) => {
-                            let cloned = set.cache_clone();
-                            drop(set);
-                            store.release(&key, ttl_enabled);
-                            cloned
-                        }
-                    };
-                    private.eps_order = view.eps_order;
-                    private.greedy_order = view.greedy_order;
-                    private
-                }
-            };
-            *cache = FlatCache::Private(private);
-            Some(had_siblings)
-        }
-        PoolState::Sharded { link, .. } => {
-            let taken = link.take()?;
-            let had_siblings = Arc::strong_count(&taken.set) > 2;
-            let key = taken.key;
-            drop(taken);
-            store.release(&key, ttl_enabled);
-            Some(had_siblings)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jury_core::juror::{pool_from_rates, pool_from_rates_and_costs, ErrorRate};
+    use jury_numeric::poibin::PoiBin;
 
     fn figure1() -> Vec<Juror> {
         pool_from_rates_and_costs(&[
@@ -3425,7 +2464,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_update_repairs_orders_in_place() {
+    fn one_shard_mutations_repair_orders_in_place() {
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
         service.warm_pool(pool).unwrap();
@@ -3457,7 +2496,7 @@ mod tests {
         let direct = AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
         assert_eq!(service.solve(&DecisionTask::altruism(pool)).unwrap(), direct);
 
-        // A flat insert now repairs in place too: one rank-insert per
+        // An insert repairs in place too: one rank-insert per
         // order, the AltrM answer dropped for a rescan-free re-solve.
         service.insert_juror(pool, Juror::new(50, ErrorRate::new(0.3).unwrap(), 0.0)).unwrap();
         let stats = service.stats();
@@ -3484,14 +2523,17 @@ mod tests {
             pool_from_rates(&(0..40).map(|i| 0.05 + (i as f64) / 50.0).collect::<Vec<_>>())
                 .unwrap();
         let pool = service.create_pool(jurors);
-        assert_eq!(service.is_sharded(pool), Ok(true));
-        assert_eq!(service.shard_count(pool), Ok(Some(4)));
+        assert_eq!(service.shard_count(pool), Ok(4));
         service.warm_pool(pool).unwrap();
         let stats = service.stats();
         assert_eq!((stats.cache_builds, stats.full_repairs, stats.shard_repairs), (1, 1, 0));
+        // Lay the lazy ladders, so mutations have pmf checkpoints to
+        // repair.
+        service.jer_probe(pool, 39).unwrap();
 
-        // An update is repaired in place: the pool *stays warm*, nothing
-        // is rebuilt on the next warm_pool, and the repair counters tick.
+        // An update is repaired in place: the K-shard pool *stays warm*
+        // (its AltrM answer is lazy), nothing is rebuilt on the next
+        // warm_pool, and the repair counters tick.
         service.update_juror(pool, 7, Juror::new(7, ErrorRate::new(0.33).unwrap(), 0.0)).unwrap();
         let stats = service.stats();
         assert_eq!(stats.cache_invalidations, 1);
@@ -3527,6 +2569,84 @@ mod tests {
     }
 
     #[test]
+    fn mutations_before_any_probe_repair_no_ladder() {
+        // Ladders are laid by the first probe or profile read, never by a
+        // cold build — so on a pool that was only solved, mutations have
+        // no pmf checkpoints to repair, and both pmf counters stay put.
+        for config in [ServiceConfig::default(), sharded_config(1, 4)] {
+            let rates: Vec<f64> = (0..120).map(|i| 0.03 + ((i * 37) % 90) as f64 / 100.0).collect();
+            let mut service = JuryService::with_config(config);
+            let pool = service.create_pool(pool_from_rates(&rates).unwrap());
+            service.solve(&DecisionTask::altruism(pool)).unwrap();
+            service.solve(&DecisionTask::pay_as_you_go(pool, 1.5)).unwrap();
+            service
+                .update_juror(pool, 9, Juror::new(9, ErrorRate::new(0.5).unwrap(), 0.1))
+                .unwrap();
+            service
+                .update_juror(pool, 9, Juror::new(9, ErrorRate::new(0.08).unwrap(), 0.1))
+                .unwrap();
+            service.insert_juror(pool, Juror::new(500, ErrorRate::new(0.2).unwrap(), 0.3)).unwrap();
+            service.remove_juror(pool, 30).unwrap();
+            let stats = service.stats();
+            assert_eq!(stats.order_repairs, 4);
+            assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (0, 0), "{stats:?}");
+            let direct =
+                AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
+            let served = service.solve(&DecisionTask::altruism(pool)).unwrap();
+            assert_eq!(served.members, direct.members);
+            assert_eq!(served.jer.to_bits(), direct.jer.to_bits());
+            // The first probe lays the ladders; from then on mutations
+            // repair them.
+            service.jer_probe(pool, 41).unwrap();
+            service
+                .update_juror(pool, 3, Juror::new(3, ErrorRate::new(0.07).unwrap(), 0.0))
+                .unwrap();
+            let stats = service.stats();
+            assert_eq!(stats.pmf_repairs + stats.pmf_rebuilds, 1);
+        }
+    }
+
+    #[test]
+    fn a_probe_on_one_clone_lays_no_ladder_in_the_other() {
+        // Cloned services share laid shard caches but copy unlaid ones,
+        // so a probe on the copy lays a ladder only there: the
+        // original's mutations find nothing to repair. Covers private
+        // pools and a store-attached pair, one shard and four.
+        for config in [ServiceConfig::default(), sharded_config(1, 4)] {
+            let rates: Vec<f64> = (0..120).map(|i| 0.03 + ((i * 37) % 90) as f64 / 100.0).collect();
+            let mut original = JuryService::with_config(config);
+            let private = original.create_pool(pool_from_rates(&rates[..101]).unwrap());
+            let shared = original.create_pool(pool_from_rates(&rates).unwrap());
+            let sibling = original.create_pool(pool_from_rates(&rates).unwrap());
+            for pool in [private, shared, sibling] {
+                original.warm_pool(pool).unwrap();
+            }
+            let mut copy = original.clone();
+            for pool in [private, shared, sibling] {
+                copy.jer_probe(pool, 41).unwrap();
+            }
+            let mutate = |service: &mut JuryService| {
+                for pool in [private, shared] {
+                    service
+                        .update_juror(pool, 9, Juror::new(9, ErrorRate::new(0.5).unwrap(), 0.1))
+                        .unwrap();
+                }
+            };
+            mutate(&mut original);
+            let stats = original.stats();
+            assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (0, 0), "{stats:?}");
+            mutate(&mut copy);
+            let stats = copy.stats();
+            assert_eq!(stats.pmf_repairs + stats.pmf_rebuilds, 2, "{stats:?}");
+            for pool in [private, shared, sibling] {
+                let (laid_fresh, repaired) =
+                    (original.jer_probe(pool, 41).unwrap(), copy.jer_probe(pool, 41).unwrap());
+                assert!((laid_fresh - repaired).abs() < crate::ladder::PROBE_REPAIR_TOL);
+            }
+        }
+    }
+
+    #[test]
     fn budget_changes_never_invalidate_pmf_artefacts() {
         // The satellite regression this pins: a stream of PayM tasks that
         // differ only in budget must never trigger a full repair (the
@@ -3539,12 +2659,13 @@ mod tests {
                 service.solve(&DecisionTask::pay_as_you_go(pool, budget)).unwrap();
             }
             let stats = service.stats();
-            assert_eq!(stats.full_repairs, 0, "round {round}");
-            assert_eq!(stats.cache_builds, 0, "PayM warms orders only");
+            assert_eq!(stats.full_repairs, 1, "round {round}: only the cold orders build");
+            assert_eq!(stats.cache_builds, 1, "PayM warms orders only, no AltrM solve");
         }
         let stats = service.stats();
         assert_eq!(stats.tasks_solved, 12);
         assert_eq!(stats.staircase_hits, 8, "four budgets scan once each");
+        assert_eq!(stats.full_repairs, 1, "only the cold orders build");
         // The same holds on a sharded pool.
         let mut sharded = JuryService::with_config(sharded_config(1, 4));
         let pool = sharded.create_pool(figure1());
@@ -3581,7 +2702,7 @@ mod tests {
         // Three distinct budgets scanned once each in the warm phase; the
         // other 27 tasks replayed their steps.
         assert_eq!(stats.staircase_hits, 27);
-        assert_eq!(stats.full_repairs, 0);
+        assert_eq!(stats.full_repairs, 1, "only the cold orders build");
         // A second identical batch is all hits, and counts order-level
         // cache hits now that the orders are warm.
         let second = service.solve_batch(&tasks);
@@ -3598,7 +2719,7 @@ mod tests {
         // full rebuild, ever (the debug_assert in `solve` enforces it in
         // debug builds; this pins the counters in any build).
         for (label, config) in
-            [("flat", ServiceConfig::default()), ("sharded", sharded_config(1, 4))]
+            [("one shard", ServiceConfig::default()), ("four shards", sharded_config(1, 4))]
         {
             let rates: Vec<f64> =
                 (0..60).map(|i| 0.02 + 0.9 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
@@ -3767,7 +2888,7 @@ mod tests {
         // K = 2 keeps each shard's run longer than one ladder spacing,
         // so the sharded ladders actually hold checkpoints to repair.
         for (label, config) in
-            [("flat", ServiceConfig::default()), ("sharded", sharded_config(1, 2))]
+            [("one shard", ServiceConfig::default()), ("two shards", sharded_config(1, 2))]
         {
             let mut service = JuryService::with_config(config);
             let pool = service.create_pool(pool_from_rates(&rates).unwrap());
@@ -3809,56 +2930,56 @@ mod tests {
     }
 
     #[test]
-    fn flat_pool_promotes_to_sharded_when_crossing_threshold() {
+    fn one_shard_pool_repartitions_when_crossing_threshold() {
         let mut service = JuryService::with_config(sharded_config(6, 3));
         let pool = service.create_pool(figure1()[..4].to_vec());
-        assert_eq!(service.is_sharded(pool), Ok(false));
+        assert_eq!(service.shard_count(pool), Ok(1));
         service.insert_juror(pool, Juror::new(10, ErrorRate::new(0.25).unwrap(), 0.1)).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(false), "below threshold stays flat");
+        assert_eq!(service.shard_count(pool), Ok(1), "below threshold keeps one shard");
         service.insert_juror(pool, Juror::new(11, ErrorRate::new(0.15).unwrap(), 0.2)).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(true), "crossing the threshold promotes");
-        // Promotion must not change results.
+        assert_eq!(service.shard_count(pool), Ok(3), "crossing the threshold re-partitions");
+        // Re-partitioning must not change results.
         let direct = AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
         assert_eq!(service.solve(&DecisionTask::altruism(pool)).unwrap(), direct);
-        // Shrinking below the threshold keeps the sharded layout.
+        // Shrinking below the threshold keeps the shards.
         service.remove_juror(pool, 0).unwrap();
         service.remove_juror(pool, 0).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(true), "hysteresis: no demotion");
+        assert_eq!(service.shard_count(pool), Ok(3), "hysteresis: no merge back");
     }
 
     #[test]
-    fn jer_probe_matches_profile_on_both_layouts() {
+    fn jer_probe_matches_profile_for_one_and_seven_shards() {
         let rates: Vec<f64> = (0..33).map(|i| 0.04 + ((i * 17) % 80) as f64 / 100.0).collect();
         let jurors = pool_from_rates(&rates).unwrap();
-        let mut flat = JuryService::new();
-        let fp = flat.create_pool(jurors.clone());
+        let mut single = JuryService::new();
+        let fp = single.create_pool(jurors.clone());
         let mut sharded = JuryService::with_config(sharded_config(1, 7));
         let sp = sharded.create_pool(jurors);
-        let profile = flat.jer_profile(fp).unwrap().to_vec();
+        let profile = single.jer_profile(fp).unwrap().to_vec();
         for (n, jer) in profile {
-            let f = flat.jer_probe(fp, n).unwrap();
+            let f = single.jer_probe(fp, n).unwrap();
             let s = sharded.jer_probe(sp, n).unwrap();
-            assert!((f - jer).abs() < 1e-9, "flat probe n={n}: {f} vs {jer}");
-            assert!((s - jer).abs() < 1e-9, "sharded probe n={n}: {s} vs {jer}");
+            assert!((f - jer).abs() < 1e-9, "one-shard probe n={n}: {f} vs {jer}");
+            assert!((s - jer).abs() < 1e-9, "seven-shard probe n={n}: {s} vs {jer}");
         }
         // Oversized probes clamp; invalid sizes error like the solvers.
-        assert_eq!(flat.jer_probe(fp, 999), flat.jer_probe(fp, 33));
-        assert_eq!(flat.jer_probe(fp, 0), Err(ServiceError::Solver(JuryError::EmptyJury)));
+        assert_eq!(single.jer_probe(fp, 999), single.jer_probe(fp, 33));
+        assert_eq!(single.jer_probe(fp, 0), Err(ServiceError::Solver(JuryError::EmptyJury)));
         assert_eq!(sharded.jer_probe(sp, 4), Err(ServiceError::Solver(JuryError::EvenJurySize(4))));
-        let empty = flat.create_pool(vec![]);
-        assert_eq!(flat.jer_probe(empty, 1), Err(ServiceError::Solver(JuryError::EmptyPool)));
+        let empty = single.create_pool(vec![]);
+        assert_eq!(single.jer_probe(empty, 1), Err(ServiceError::Solver(JuryError::EmptyPool)));
     }
 
     #[test]
-    fn sharded_profile_and_order_match_flat() {
+    fn sharded_profile_and_order_match_one_shard() {
         let rates: Vec<f64> = (0..25).map(|i| 0.9 - ((i * 31) % 83) as f64 / 100.0).collect();
         let jurors = pool_from_rates(&rates).unwrap();
-        let mut flat = JuryService::new();
-        let fp = flat.create_pool(jurors.clone());
+        let mut single = JuryService::new();
+        let fp = single.create_pool(jurors.clone());
         let mut sharded = JuryService::with_config(sharded_config(1, 16));
         let sp = sharded.create_pool(jurors);
-        assert_eq!(flat.reliability_order(fp).unwrap(), sharded.reliability_order(sp).unwrap());
-        let f = flat.jer_profile(fp).unwrap().to_vec();
+        assert_eq!(single.reliability_order(fp).unwrap(), sharded.reliability_order(sp).unwrap());
+        let f = single.jer_profile(fp).unwrap().to_vec();
         let s = sharded.jer_profile(sp).unwrap().to_vec();
         assert_eq!(f.len(), s.len());
         for ((fn_, fj), (sn, sj)) in f.iter().zip(&s) {

@@ -5,7 +5,7 @@
 //! ladders and bound-pruned AltrM solves — per distinct pool content.
 //! This module persists the content-addressed store itself: one binary
 //! file per interned [`ArtifactSet`], keyed exactly like the in-memory
-//! entry by `(fingerprint, layout, solver-config bits)`, plus a JSON
+//! entry by `(fingerprint, shard count, solver-config bits)`, plus a JSON
 //! manifest naming them. A restarted service pointed at the directory
 //! re-attaches pools to snapshot entries **by content** at registration
 //! time and answers its first queries warm.
@@ -31,14 +31,17 @@
 //!
 //! * the embedded key must equal the requested key, and the decoded
 //!   founding sequence must admit the registering pool via
-//!   [`ArtifactSet::match_pool`] (content comparison, never hash trust);
-//! * orders must be permutations; sorted ε values must be
-//!   non-decreasing and bit-equal to the sequence through the ε order;
+//!   [`ArtifactSet::matches`] (content comparison, never hash trust);
+//! * orders must be permutations, and every ε run — the founding
+//!   sequence read through a shard's ε order (the file stores no ε
+//!   values) and, for K > 1, through the merged ε order — must be
+//!   non-decreasing;
 //! * every pmf checkpoint must re-hash to its stored
 //!   [`PoiBin::content_hash`] and pass distribution validation;
 //! * selections (AltrM answer, staircase replays) must have strictly
 //!   ascending, in-range members; shard layers must be exact
-//!   partitions with per-shard runs bound to the sequence.
+//!   partitions (an implicit one for a single shard, whose runs are
+//!   the global orders and are stored once).
 //!
 //! Any failure rejects the *candidate* — counted in
 //! [`ServiceStats::snapshot_rejections`](crate::ServiceStats) — and the
@@ -57,9 +60,8 @@
 //! is the commit point; files orphaned by the new generation are
 //! garbage-collected only *after* it is durable, so a crash at any
 //! byte boundary leaves the previous generation fully readable.
-//! Readers scan for the highest parseable generation (legacy
-//! `manifest.json` reads as generation 0) and verify everything as
-//! before.
+//! Readers scan for the highest parseable generation and verify
+//! everything as before.
 //!
 //! Writes are coordinated by the advisory single-writer lease in
 //! [`lease`] (see its docs for the acquire/break/fence protocol); the
@@ -68,7 +70,7 @@
 
 use crate::ladder::{PmfLadder, LADDER_MAX};
 use crate::shard::{ShardCache, ShardLayer};
-use crate::store::{ArtifactSet, LayoutKey, StoreKey};
+use crate::store::{ArtifactSet, StoreKey};
 use crate::AltrAnswer;
 use jury_core::altr::JerProfile;
 use jury_core::error::JuryError;
@@ -97,26 +99,22 @@ pub use watch::SnapshotWatcher;
 /// First bytes of every entry file. The trailing digit is the format
 /// version: decoders refuse other versions (version skew is a counted
 /// rejection, not an error).
-const MAGIC: &[u8; 8] = b"JRYSNP01";
-
-/// Manifest file name within a snapshot directory.
-pub(crate) const MANIFEST: &str = "manifest.json";
+const MAGIC: &[u8; 8] = b"JRYSNP02";
 
 /// Manifest schema version (see [`MAGIC`] for the entry-file version).
 const MANIFEST_VERSION: u64 = 1;
 
 // Section tags. Unknown tags are skipped on read (forward
 // compatibility); duplicates and a missing END terminator are
-// rejections.
+// rejections. Tags 5 and 8 (a separate sorted-ε run and ladder) belong
+// to the retired `JRYSNP01` format and are not reused.
 const TAG_END: u32 = 0;
 const TAG_KEY: u32 = 1;
 const TAG_SEQ: u32 = 2;
 const TAG_EPS_ORDER: u32 = 3;
 const TAG_GREEDY_ORDER: u32 = 4;
-const TAG_EPS_SORTED: u32 = 5;
 const TAG_ALTR: u32 = 6;
 const TAG_PROFILE: u32 = 7;
-const TAG_LADDER: u32 = 8;
 const TAG_STAIRCASE: u32 = 9;
 const TAG_SHARDS: u32 = 10;
 
@@ -357,24 +355,21 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
 /// Serializes one interned entry to its snapshot file bytes. Bulk
 /// arrays are raw little-endian words (JSON digits would dominate the
 /// restart budget at 10⁶ jurors); only small structured values (the
-/// AltrM answer, the staircase) embed wire-JSON.
+/// AltrM answer, the staircase) embed wire-JSON. Nothing derivable is
+/// stored twice: ε values are the sequence read through the runs, and a
+/// one-shard entry's runs are its global orders — `32 n` bytes of bulk
+/// data plus ladders for one shard, `60 n` for K shards.
 pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
     let seq = set.seq();
     let n = seq.len();
-    let mut out = Vec::with_capacity(64 + 40 * n);
+    let mut out = Vec::with_capacity(64 + 32 * n);
     out.extend_from_slice(MAGIC);
 
-    let mut p = Vec::with_capacity(41);
+    let mut p = Vec::with_capacity(40);
     put_u64(&mut p, key.fp.lanes[0]);
     put_u64(&mut p, key.fp.lanes[1]);
     put_u64(&mut p, key.fp.len);
-    match key.layout {
-        LayoutKey::Flat => p.push(0),
-        LayoutKey::Sharded { shards } => {
-            p.push(1);
-            put_u64(&mut p, shards as u64);
-        }
-    }
+    put_u64(&mut p, key.shards as u64);
     put_u64(&mut p, key.config);
     put_section(&mut out, TAG_KEY, &p);
 
@@ -385,19 +380,13 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
     }
     put_section(&mut out, TAG_SEQ, &p);
 
-    for (tag, order) in [(TAG_EPS_ORDER, &*set.eps_order), (TAG_GREEDY_ORDER, &*set.greedy_order)] {
-        let mut p = Vec::with_capacity(8 * n);
-        for &i in order.iter() {
-            put_u64(&mut p, i as u64);
+    if let Some((eps_order, greedy_order)) = &set.merged {
+        for (tag, order) in [(TAG_EPS_ORDER, eps_order), (TAG_GREEDY_ORDER, greedy_order)] {
+            let mut p = Vec::with_capacity(8 * n);
+            put_indices(&mut p, order);
+            put_section(&mut out, tag, &p);
         }
-        put_section(&mut out, tag, &p);
     }
-
-    let mut p = Vec::with_capacity(8 * n);
-    for &e in set.eps_sorted.iter() {
-        put_u64(&mut p, e.to_bits());
-    }
-    put_section(&mut out, TAG_EPS_SORTED, &p);
 
     if let Some(answer) = set.altr.get() {
         put_section(&mut out, TAG_ALTR, altr_to_json(answer).as_bytes());
@@ -412,22 +401,34 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
         put_section(&mut out, TAG_PROFILE, &p);
     }
 
-    if let Some(ladder) = set.ladder.get() {
-        let mut p = Vec::new();
-        encode_ladder(&mut p, ladder);
-        put_section(&mut out, TAG_LADDER, &p);
-    }
-
     put_section(&mut out, TAG_STAIRCASE, json::to_string(&*set.staircase_read()).as_bytes());
 
-    if let Some(layer) = set.shard_layer.get() {
-        let mut p = Vec::new();
-        encode_shards(&mut p, layer);
-        put_section(&mut out, TAG_SHARDS, &p);
-    }
+    let mut p = Vec::with_capacity(16 + 16 * n);
+    encode_shards(&mut p, &set.layer);
+    put_section(&mut out, TAG_SHARDS, &p);
 
     put_section(&mut out, TAG_END, &[]);
     out
+}
+
+fn put_indices(p: &mut Vec<u8>, order: &[usize]) {
+    for &i in order {
+        put_u64(p, i as u64);
+    }
+}
+
+/// `count` bounded indices below `n`.
+fn read_indices(r: &mut Reader<'_>, count: usize, n: usize) -> Option<Vec<usize>> {
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push(r.index(n)?);
+    }
+    Some(out)
+}
+
+/// The ε values of the founding sequence read through `order`.
+fn eps_through(seq: &[(u64, u64)], order: &[usize]) -> Vec<f64> {
+    order.iter().map(|&p| f64::from_bits(seq[p].0)).collect()
 }
 
 /// `count (u64); per checkpoint: len, content_hash, pmf_len, pmf bits`.
@@ -469,8 +470,9 @@ fn decode_ladder(r: &mut Reader<'_>, max_len: usize) -> Option<PmfLadder> {
     PmfLadder::from_checkpoints_raw(raw)
 }
 
-/// `owner_len, owner (u32s), cache_count; per cache: size, eps_order,
-/// eps bits, greedy_order, ladder`.
+/// `owner_len, owner (u32s; none for one shard), cache_count; per
+/// cache: size, eps_order, greedy_order, ladder flag (u8), ladder if
+/// laid`.
 fn encode_shards(p: &mut Vec<u8>, layer: &ShardLayer) {
     let owner = layer.owner();
     put_u64(p, owner.len() as u64);
@@ -480,62 +482,54 @@ fn encode_shards(p: &mut Vec<u8>, layer: &ShardLayer) {
     let caches = layer.caches();
     put_u64(p, caches.len() as u64);
     for cache in caches {
-        let (eps_order, eps, greedy_order, ladder) = cache.raw_parts();
+        let (eps_order, greedy_order, ladder) = cache.raw_parts();
         put_u64(p, eps_order.len() as u64);
-        for &i in eps_order {
-            put_u64(p, i as u64);
+        put_indices(p, eps_order);
+        put_indices(p, greedy_order);
+        p.push(u8::from(ladder.is_some()));
+        if let Some(ladder) = ladder {
+            encode_ladder(p, ladder);
         }
-        for &e in eps {
-            put_u64(p, e.to_bits());
-        }
-        for &i in greedy_order {
-            put_u64(p, i as u64);
-        }
-        encode_ladder(p, ladder);
     }
 }
 
-/// Decodes and fully re-validates a shard layer: per-shard runs are
-/// bound to the founding sequence (ε bits through the positions),
-/// ladders re-hash per checkpoint, [`ShardCache::from_raw_parts`]
-/// re-checks run alignment/sortedness, and [`ShardLayer::from_raw`]
-/// re-checks the owner partition. The owner-vector comparison against
-/// the *registering* pool happens downstream at adoption.
-fn decode_shards(payload: &[u8], n: usize, seq: &[(u64, u64)]) -> Option<ShardLayer> {
+/// Decodes and fully re-validates the `shards`-shard layer of an
+/// `n`-juror entry: ε runs are the founding sequence read through each
+/// shard's ε order, ladders re-hash per checkpoint,
+/// [`ShardCache::from_raw_parts`] re-checks run alignment/sortedness,
+/// and [`ShardLayer::from_raw`] re-checks the partition. The
+/// owner-vector comparison against the *registering* pool happens
+/// downstream at adoption.
+fn decode_shards(
+    payload: &[u8],
+    n: usize,
+    seq: &[(u64, u64)],
+    shards: usize,
+) -> Option<ShardLayer> {
     let mut r = Reader::new(payload);
     let owner_len = r.len_capped(n)?;
-    if owner_len != n {
-        return None;
-    }
     let mut owner = Vec::with_capacity(owner_len);
     for _ in 0..owner_len {
         owner.push(r.u32()?);
     }
-    let cache_count = r.len_capped(n.max(1))?;
-    let mut caches = Vec::with_capacity(cache_count);
-    for _ in 0..cache_count {
+    if r.len_capped(shards)? != shards {
+        return None;
+    }
+    let mut caches = Vec::with_capacity(shards);
+    for _ in 0..shards {
         let size = r.len_capped(n)?;
-        let mut eps_order = Vec::with_capacity(size);
-        for _ in 0..size {
-            eps_order.push(r.index(n)?);
-        }
-        let mut eps = Vec::with_capacity(size);
-        for _ in 0..size {
-            eps.push(r.f64()?);
-        }
-        let mut greedy_order = Vec::with_capacity(size);
-        for _ in 0..size {
-            greedy_order.push(r.index(n)?);
-        }
-        if eps.iter().zip(&eps_order).any(|(&e, &p)| e.to_bits() != seq[p].0) {
-            return None;
-        }
-        let ladder = decode_ladder(&mut r, size)?;
-        let cache = ShardCache::from_raw_parts(eps_order, eps, greedy_order, ladder)?;
-        caches.push(Arc::new(cache));
+        let eps_order = read_indices(&mut r, size, n)?;
+        let greedy_order = read_indices(&mut r, size, n)?;
+        let ladder = match r.u8()? {
+            0 => None,
+            1 => Some(decode_ladder(&mut r, size)?),
+            _ => return None,
+        };
+        let eps = eps_through(seq, &eps_order);
+        caches.push(Arc::new(ShardCache::from_raw_parts(eps_order, eps, greedy_order, ladder)?));
     }
     r.done()?;
-    ShardLayer::from_raw(owner, caches)
+    ShardLayer::from_raw(n, owner, caches)
 }
 
 /// The AltrM answer as wire-JSON: `{"ok": bool, "value": Selection |
@@ -600,14 +594,10 @@ fn load_entry(
     let mut kr = Reader::new(sections.get(&TAG_KEY)?);
     let lanes = [kr.u64()?, kr.u64()?];
     let len = kr.u64()?;
-    let layout = match kr.u8()? {
-        0 => LayoutKey::Flat,
-        1 => LayoutKey::Sharded { shards: kr.len_capped(usize::MAX)? },
-        _ => return None,
-    };
+    let shards = kr.len_capped(usize::MAX)?;
     let config = kr.u64()?;
     kr.done()?;
-    if (StoreKey { fp: FingerprintKey { lanes, len }, layout, config }) != *key {
+    if (StoreKey { fp: FingerprintKey { lanes, len }, shards, config }) != *key {
         return None;
     }
     let n = usize::try_from(key.fp.len).ok()?;
@@ -622,36 +612,31 @@ fn load_entry(
     }
     sr.done()?;
 
-    let mut orders = [Vec::new(), Vec::new()];
-    for (slot, tag) in orders.iter_mut().zip([TAG_EPS_ORDER, TAG_GREEDY_ORDER]) {
-        let mut r = Reader::new(sections.get(&tag)?);
-        let mut order = Vec::with_capacity(n);
-        for _ in 0..n {
-            order.push(r.index(n)?);
+    let layer = decode_shards(sections.get(&TAG_SHARDS)?, n, &seq, key.shards)?;
+
+    // A K-shard entry stores the merged orders; each must be a
+    // permutation, and the sequence read through the ε order must be
+    // non-decreasing (incomparable NaN pairs rejected too).
+    let merged = if key.shards > 1 {
+        let mut orders = [Vec::new(), Vec::new()];
+        for (slot, tag) in orders.iter_mut().zip([TAG_EPS_ORDER, TAG_GREEDY_ORDER]) {
+            let mut r = Reader::new(sections.get(&tag)?);
+            let order = read_indices(&mut r, n, n)?;
+            r.done()?;
+            if !is_permutation(&order, n) {
+                return None;
+            }
+            *slot = order;
         }
-        r.done()?;
-        if !is_permutation(&order, n) {
+        let [eps_order, greedy_order] = orders;
+        let eps = eps_through(&seq, &eps_order);
+        if eps.windows(2).any(|w| w[0].partial_cmp(&w[1]).is_none_or(|o| o.is_gt())) {
             return None;
         }
-        *slot = order;
-    }
-    let [eps_order, greedy_order] = orders;
-
-    let mut er = Reader::new(sections.get(&TAG_EPS_SORTED)?);
-    let mut eps_sorted = Vec::with_capacity(n);
-    for _ in 0..n {
-        eps_sorted.push(er.f64()?);
-    }
-    er.done()?;
-    // Rank/position binding: the sorted run must be exactly the ε bits
-    // of the sequence read through the ε order, and non-decreasing
-    // (incomparable NaN pairs rejected too).
-    if eps_sorted.iter().zip(&eps_order).any(|(&e, &p)| e.to_bits() != seq[p].0) {
-        return None;
-    }
-    if eps_sorted.windows(2).any(|w| w[0].partial_cmp(&w[1]).is_none_or(|o| o.is_gt())) {
-        return None;
-    }
+        Some((Arc::new(eps_order), Arc::new(greedy_order)))
+    } else {
+        None
+    };
 
     let altr = match sections.get(&TAG_ALTR) {
         Some(payload) => Some(altr_from_json(payload, n)?),
@@ -676,16 +661,6 @@ fn load_entry(
         None => None,
     };
 
-    let ladder = match sections.get(&TAG_LADDER) {
-        Some(payload) => {
-            let mut r = Reader::new(payload);
-            let ladder = decode_ladder(&mut r, n)?;
-            r.done()?;
-            Some(ladder)
-        }
-        None => None,
-    };
-
     let staircase = match sections.get(&TAG_STAIRCASE) {
         Some(payload) => {
             let text = std::str::from_utf8(payload).ok()?;
@@ -698,36 +673,13 @@ fn load_entry(
         None => Staircase::new(),
     };
 
-    let shard_layer = match (key.layout, sections.get(&TAG_SHARDS)) {
-        (LayoutKey::Flat, Some(_)) => return None,
-        (LayoutKey::Flat, None) | (LayoutKey::Sharded { .. }, None) => None,
-        (LayoutKey::Sharded { shards }, Some(payload)) => {
-            let layer = decode_shards(payload, n, &seq)?;
-            if layer.caches().len() != shards {
-                return None;
-            }
-            Some(layer)
-        }
-    };
-
-    let set = ArtifactSet::from_restored(
-        seq,
-        eps_order,
-        eps_sorted,
-        greedy_order,
-        altr,
-        profile,
-        ladder,
-        shard_layer,
-        staircase,
-    );
+    let set = ArtifactSet::from_restored(seq, layer, merged, altr, profile, staircase);
     // The decisive content gate: the decoded founding sequence must
     // admit the live registering pool — the same comparison a warm
     // in-memory entry would run. A doctored manifest that borrows
     // another pool's fingerprint dies on the KEY cross-check above; a
     // colliding fingerprint dies here.
-    set.match_pool(jurors)?;
-    Some(set)
+    set.matches(jurors).then_some(set)
 }
 
 // ---------------------------------------------------------------------
@@ -738,7 +690,7 @@ fn load_entry(
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     file: String,
-    layout: LayoutKey,
+    shards: usize,
     config: u64,
     bytes: u64,
     checksum: u64,
@@ -752,23 +704,15 @@ fn from_hex(value: Option<&Value>) -> Option<u64> {
     u64::from_str_radix(value?.as_str()?, 16).ok()
 }
 
-/// The name of generation `gen`'s manifest. Generation 0 is the
-/// legacy single-manifest name so pre-generation snapshots stay
-/// readable.
+/// The name of generation `gen`'s manifest (the first commit is
+/// generation 1).
 fn manifest_name(gen: u64) -> String {
-    if gen == 0 {
-        MANIFEST.to_string()
-    } else {
-        format!("manifest-{gen}.json")
-    }
+    format!("manifest-{gen}.json")
 }
 
 /// Inverse of [`manifest_name`]: `Some(gen)` iff `name` is a manifest
 /// file name.
 fn manifest_generation(name: &str) -> Option<u64> {
-    if name == MANIFEST {
-        return Some(0);
-    }
     let digits = name.strip_prefix("manifest-")?.strip_suffix(".json")?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -794,7 +738,7 @@ fn scan_manifests(dir: &Path) -> Vec<(u64, String)> {
 
 /// The parsed manifest of a snapshot directory, indexed by content
 /// fingerprint alone — so a pool whose content *was* snapshotted but
-/// whose layout or config bits have since drifted still registers a
+/// whose shard count or config bits have since drifted still registers a
 /// counted rejection (the snapshot promised this content and cannot
 /// deliver it) rather than a silent miss.
 #[derive(Debug, Clone, Default)]
@@ -803,11 +747,11 @@ pub(crate) struct Catalog {
     /// Manifests present but none readable (corrupt JSON, version
     /// skew): every restore attempt is a counted rejection.
     poisoned: bool,
-    /// The generation this catalog reflects (0 = legacy manifest or
-    /// nothing on disk).
+    /// The generation this catalog reflects (0 = nothing on disk).
     generation: u64,
-    /// When that generation was committed (absent on legacy
-    /// manifests) — the basis of the staleness gate.
+    /// When that generation was committed — the basis of the staleness
+    /// gate. A manifest without the stamp still parses, but an explicit
+    /// staleness policy refuses it.
     written_at_ms: Option<u64>,
     entries: HashMap<FingerprintKey, Vec<ManifestEntry>>,
 }
@@ -853,7 +797,7 @@ impl Catalog {
         Self { dir: dir.to_path_buf(), poisoned: true, ..Self::default() }
     }
 
-    /// The generation this catalog reflects (0 = legacy or none).
+    /// The generation this catalog reflects (0 = none).
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
@@ -872,9 +816,9 @@ impl Catalog {
 
     /// The staleness gate: `true` when [`crate::ServiceConfig::
     /// max_snapshot_age`] is set and this catalog's commit stamp is
-    /// older than allowed — or absent entirely (legacy manifests have
-    /// no stamp; under an explicit staleness policy an unstampable
-    /// snapshot is conservatively treated as stale).
+    /// older than allowed — or absent entirely (under an explicit
+    /// staleness policy an unstamped manifest is outside input that
+    /// cannot prove its age, so it is treated as stale).
     pub(crate) fn is_stale(&self, max_age: Option<Duration>) -> bool {
         let Some(max_age) = max_age else { return false };
         match self.written_at_ms {
@@ -886,7 +830,7 @@ impl Catalog {
     /// Attempts to restore a verified entry for `key` on behalf of the
     /// registering `jurors`. Candidates are tried in manifest order;
     /// the first to pass every gate wins. Rejection accounting follows
-    /// the catalog contract: failed candidates, config/layout drift
+    /// the catalog contract: failed candidates, config/shard-count drift
     /// over known content, and a poisoned manifest all count; content
     /// the snapshot never knew is a plain miss.
     pub(crate) fn restore(&self, key: &StoreKey, jurors: &[Juror]) -> RestoreAttempt {
@@ -899,7 +843,7 @@ impl Catalog {
         let mut rejections = 0usize;
         let mut any_match = false;
         for record in candidates {
-            if record.layout != key.layout || record.config != key.config {
+            if record.shards != key.shards || record.config != key.config {
                 continue;
             }
             any_match = true;
@@ -916,11 +860,10 @@ impl Catalog {
 }
 
 /// A successfully parsed manifest: the entry records plus the
-/// generation metadata (absent on legacy manifests — the fields are
-/// additive, so pre-generation manifests still parse).
+/// generation metadata.
 struct ParsedManifest {
     records: Vec<(FingerprintKey, ManifestEntry)>,
-    /// Lease epoch the manifest was committed under (0 = legacy).
+    /// Lease epoch the manifest was committed under (0 when absent).
     epoch: u64,
     /// Wall-clock commit stamp, milliseconds since the Unix epoch.
     written_at_ms: Option<u64>,
@@ -943,13 +886,12 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
             lanes: [from_hex(Some(&lanes[0]))?, from_hex(Some(&lanes[1]))?],
             len: from_hex(entry.get("len"))?,
         };
-        let layout = match entry.get("layout")?.as_str()? {
-            "flat" => LayoutKey::Flat,
-            "sharded" => {
-                LayoutKey::Sharded { shards: usize::try_from(from_hex(entry.get("shards"))?).ok()? }
-            }
-            _ => return None,
-        };
+        // Every entry is sharded; the retired `flat` layout (and
+        // anything else) makes the manifest unreadable.
+        if entry.get("layout")?.as_str()? != "sharded" {
+            return None;
+        }
+        let shards = usize::try_from(from_hex(entry.get("shards"))?).ok()?;
         let file = entry.get("file")?.as_str()?;
         // Entry files live flat in the snapshot directory; a manifest
         // naming anything else is malformed.
@@ -958,7 +900,7 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
         }
         let record = ManifestEntry {
             file: file.to_string(),
-            layout,
+            shards,
             config: from_hex(entry.get("config"))?,
             bytes: from_hex(entry.get("bytes"))?,
             checksum: from_hex(entry.get("checksum"))?,
@@ -984,11 +926,7 @@ fn entry_file_name(key: &StoreKey, gen: u64, epoch: u64) -> String {
     let mut h = splitmix64(key.fp.lanes[0]);
     h = splitmix64(h ^ key.fp.lanes[1]);
     h = splitmix64(h ^ key.fp.len);
-    let layout_word = match key.layout {
-        LayoutKey::Flat => 0u64,
-        LayoutKey::Sharded { shards } => 1 | (shards as u64) << 1,
-    };
-    h = splitmix64(h ^ layout_word);
+    h = splitmix64(h ^ (1 | (key.shards as u64) << 1));
     format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ key.config))
 }
 
@@ -1020,23 +958,16 @@ fn write_atomic(
 
 /// The manifest record for one persisted entry.
 fn manifest_record(key: &StoreKey, file: &str, bytes: u64, checksum: u64) -> Value {
-    let (layout, shards) = match key.layout {
-        LayoutKey::Flat => ("flat", None),
-        LayoutKey::Sharded { shards } => ("sharded", Some(shards)),
-    };
-    let mut fields = vec![
+    Value::object([
         ("file", Value::String(file.to_string())),
         ("lanes", Value::Array(vec![hex(key.fp.lanes[0]), hex(key.fp.lanes[1])])),
         ("len", hex(key.fp.len)),
-        ("layout", Value::String(layout.to_string())),
-    ];
-    if let Some(shards) = shards {
-        fields.push(("shards", hex(shards as u64)));
-    }
-    fields.push(("config", hex(key.config)));
-    fields.push(("bytes", hex(bytes)));
-    fields.push(("checksum", hex(checksum)));
-    Value::object(fields)
+        ("layout", Value::String("sharded".to_string())),
+        ("shards", hex(key.shards as u64)),
+        ("config", hex(key.config)),
+        ("bytes", hex(bytes)),
+        ("checksum", hex(checksum)),
+    ])
 }
 
 /// One entry as the writer last committed it — enough to decide
@@ -1057,8 +988,8 @@ struct Persisted {
 #[derive(Debug, Default)]
 struct DirState {
     /// Whether `gen`/`persisted` reflect an actual disk read (a fresh
-    /// state over an untouched legacy directory has `gen == 0` both
-    /// ways, but nothing loaded).
+    /// state and an empty directory both have `gen == 0`, but only one
+    /// was loaded).
     loaded: bool,
     /// The last generation this writer observed committed.
     gen: u64,
@@ -1202,7 +1133,7 @@ pub(crate) fn write_incremental<'a>(
             .records
             .into_iter()
             .map(|(fp, r)| {
-                let key = StoreKey { fp, layout: r.layout, config: r.config };
+                let key = StoreKey { fp, shards: r.shards, config: r.config };
                 (
                     key,
                     Persisted { file: r.file, bytes: r.bytes, checksum: r.checksum, version: None },

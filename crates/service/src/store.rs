@@ -3,154 +3,96 @@
 //! At micro-blog scale the same crowd backs many logical pools —
 //! per-tenant, per-topic and per-region registries over one juror
 //! population — so a [`JuryService`](crate::JuryService) would otherwise
-//! re-derive an identical ε-sorted order, greedy order, pmf ladder,
-//! budget staircase and AltrM answer once *per pool*. [`ArtifactStore`]
-//! interns those artifacts by **content**: every registered pool keeps a
-//! running [`PoolFingerprint`] (a commutative multiset hash of its
-//! jurors' solver-relevant content, updated in `O(1)` per mutation), and
-//! warm artifacts live in [`ArtifactSet`]s keyed by
-//! `(fingerprint, layout, solver config)` so N equal pools hold N `Arc`
-//! clones of **one** artifact set, built once.
+//! re-derive identical sorted runs, pmf ladders, budget staircase and
+//! AltrM answer once *per pool*. [`ArtifactStore`] interns those
+//! artifacts by **content**: every registered pool keeps a running
+//! [`PoolFingerprint`](jury_core::fingerprint::PoolFingerprint) (a
+//! commutative multiset hash of its jurors' solver-relevant content,
+//! updated in `O(1)` per mutation), and warm artifacts live in
+//! [`ArtifactSet`]s keyed by `(fingerprint, shard count, solver config)`
+//! so N equal pools hold N `Arc` clones of **one** artifact set, built
+//! once.
 //!
-//! ## Verification, identity and permutation
+//! ## Verification
 //!
 //! The fingerprint only *addresses* an entry; a candidate pool is
 //! admitted by content comparison (hash collisions can cost a missed
-//! share, never a wrong answer). Two grades of match exist:
-//!
-//! * **Identical sequence** — the pool's juror content equals the
-//!   entry's founding sequence position for position. Everything is
-//!   position-space-compatible and shared outright: orders, ladder,
-//!   profile, the Arc'd AltrM answer, and the (lock-guarded, lazily
-//!   growing) budget staircase.
-//! * **Permuted** — same multiset, different arrangement. Rank-space
-//!   artifacts (sorted ε values, pmf ladder, JER profile, the AltrM
-//!   answer's JER/cost/stats) are still shared pointer-equal; the
-//!   position-space orders are derived by translating the founding
-//!   orders through the matching permutation σ (`O(N)`, sort-free), and
-//!   the budget staircase stays private (its recorded selections are
-//!   position-space). Permuted sharing requires the entry to be
-//!   **tie-free** — no two jurors with equal ε bits but different cost
-//!   bits — because only then is every solver tie-break class a single
-//!   content class, making the translated orders (and therefore every
-//!   downstream float evaluation) bit-identical to the pool's own
-//!   private build. Tie-violating entries simply refuse permuted
-//!   attachment.
-//!
-//! The matching permutation maps the *k*-th occurrence (in founding
-//! position order) of each `(ε bits, cost bits)` content class to the
-//! *k*-th occurrence in the candidate's position order, which preserves
-//! the position-ascending tie-break of both comparators across the
-//! translation — see [`ArtifactSet::match_pool`].
+//! share, never a wrong answer): its juror content must equal the
+//! entry's founding sequence position for position
+//! ([`ArtifactSet::matches`]). Everything is then shared outright — the
+//! per-shard runs and ladders (partition-verified), the merged orders,
+//! the profile, the Arc'd AltrM answer and the (lock-guarded, lazily
+//! growing) budget staircase. A pool holding the same jurors in another
+//! arrangement has a different sequence: it builds privately, and never
+//! replaces the incumbent entry ([`ArtifactStore::publish`]).
 //!
 //! ## Copy-on-write detach, re-join, eviction
 //!
 //! Mutations never write through a shared entry: the owning pool
-//! *detaches* first — a sole holder takes the artifacts back zero-copy
-//! ([`ArtifactSet::into_cache`] via `Arc::try_unwrap`), a pool with
-//! siblings clones what the repair will touch
-//! ([`ArtifactSet::cache_clone`]) — and the existing in-place repairs
-//! then run on the privately-owned copy. The fingerprint is updated by
-//! one commutative-hash subtraction/addition (no rescan); if the
-//! post-mutation multiset already has an entry the pool **re-joins** it,
-//! otherwise (when it detached from an entry with surviving siblings)
-//! the repaired artifacts are published under the new key for the
-//! siblings to follow. Entries no pool holds any more are evicted
-//! ([`ArtifactStore::evict_if_orphaned`]).
+//! *detaches* first — drops its link and releases the entry, which is
+//! evicted if no other pool holds it — and the in-place repairs then
+//! write through `Arc::make_mut`, so a sole holder repairs zero-copy and
+//! a pool with siblings clones exactly the runs it touches. The
+//! fingerprint is updated by one commutative-hash subtraction/addition
+//! (no rescan); if the post-mutation multiset already has an entry the
+//! pool **re-joins** it, otherwise (when it detached from an entry with
+//! surviving siblings) the repaired artifacts are published under the
+//! new key for the siblings to follow. Entries no pool holds any more
+//! are evicted ([`ArtifactStore::evict_if_orphaned`]).
 
-use crate::{AltrAnswer, PoolCache};
+use crate::shard::{CacheCopies, ShardLayer, ShardedPool, SharedOrder};
+use crate::AltrAnswer;
 use jury_core::altr::JerProfile;
 use jury_core::fingerprint::{juror_content, FingerprintKey};
 use jury_core::juror::Juror;
 use jury_core::paym::Staircase;
-use jury_core::problem::Selection;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Which serving layout an artifact set was built for. Keyed separately
-/// because flat and sharded pools derive (and repair) different artifact
-/// shapes even over identical content; only the solver-relevant shard
-/// count enters the key ([`ShardConfig::degenerate_percent`] and
-/// `threshold` never change an artifact's value).
-///
-/// [`ShardConfig::degenerate_percent`]: crate::ShardConfig::degenerate_percent
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum LayoutKey {
-    /// One cache over the whole pool.
-    Flat,
-    /// K shards merging into global orders.
-    Sharded {
-        /// Shard count K.
-        shards: usize,
-    },
-}
-
-/// The interning key of one artifact set: content fingerprint + layout +
+/// The interning key of one artifact set: content fingerprint, shard
+/// count (per-shard runs are a property of the partition) and the
 /// solver-relevant configuration bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct StoreKey {
     pub fp: FingerprintKey,
-    pub layout: LayoutKey,
+    pub shards: usize,
     pub config: u64,
 }
 
-/// How a candidate pool relates to an entry's founding sequence.
-#[derive(Debug, Clone)]
-pub(crate) enum Attach {
-    /// Content equal position for position: full position-space share.
-    Identical,
-    /// Same multiset, different arrangement: `sigma[founding_pos]` is the
-    /// candidate position holding that juror content.
-    Permuted(Vec<usize>),
-}
-
 /// One pool-content snapshot's warm artifacts, shared by every pool
-/// whose jurors match. Orders and sorted rates are immutable once
-/// published; the lazily-derived artifacts fill exactly once
-/// ([`OnceLock`]) and the budget staircase grows monotonically behind a
-/// read-mostly lock (batch workers replay steps read-only; recording
-/// happens under the service's `&mut self`).
+/// whose jurors match. Runs and orders are immutable once published; the
+/// lazily-derived artifacts fill exactly once ([`OnceLock`]) and the
+/// budget staircase grows monotonically behind a read-mostly lock (batch
+/// workers replay steps read-only; recording happens under the service's
+/// `&mut self`).
 #[derive(Debug)]
 pub(crate) struct ArtifactSet {
     /// Founding `(ε bits, cost bits)` per pool position — the content
     /// identity candidates are verified against.
     seq: Vec<(u64, u64)>,
-    /// Whether no two jurors share ε bits with different cost bits — the
-    /// precondition for cross-permutation sharing (see module docs).
-    tie_free: bool,
-    /// Positions ascending by ε (founding position space).
-    pub eps_order: Arc<Vec<usize>>,
-    /// ε values aligned with `eps_order` — rank space, multiset-determined.
-    pub eps_sorted: Arc<Vec<f64>>,
-    /// PayALG's greedy visit order (founding position space).
-    pub greedy_order: Arc<Vec<usize>>,
-    /// The solved AltrM answer (founding position space; JER/cost/stats
-    /// are rank-space and shared bit-identically even across
-    /// permutations).
+    /// The per-shard layer: partition plus every shard's runs and ladder.
+    /// Adoption is partition-verified: a pool whose owner vector differs
+    /// (equal content, different mutation history) builds its shards
+    /// privately.
+    pub layer: ShardLayer,
+    /// The K-way-merged ε and greedy orders; `None` for one shard, whose
+    /// runs are the global orders.
+    pub merged: Option<(SharedOrder, SharedOrder)>,
+    /// The solved AltrM answer.
     pub altr: OnceLock<AltrAnswer>,
-    /// The odd-size JER profile — rank space.
+    /// The odd-size JER profile.
     pub profile: OnceLock<Arc<JerProfile>>,
-    /// Prefix-pmf checkpoint ladder over `eps_sorted` — rank space
-    /// (flat layouts only; sharded layouts intern `shard_layer`).
-    pub ladder: OnceLock<crate::ladder::PmfLadder>,
-    /// A sharded pool's per-shard warm layer (owner assignment plus
-    /// every shard's runs and ladder), filled by the first fully-warm
-    /// holder. Adoption is partition-verified: a pool whose owner
-    /// vector differs (equal content, different mutation history)
-    /// simply builds its shards privately. Flat layouts leave this
-    /// empty.
-    pub shard_layer: OnceLock<crate::shard::ShardLayer>,
-    /// The PayM budget staircase over `greedy_order` (founding position
-    /// space), recorded lazily per budget.
+    /// The PayM budget staircase over the greedy order, recorded lazily
+    /// per budget.
     pub staircase: RwLock<Staircase>,
-    /// Monotone mutation counter: bumped whenever a lazy slot fills or
-    /// the staircase takes a write lock. The incremental snapshot
-    /// writer compares it against the version it last persisted to
-    /// decide cleanness without re-encoding; over-counting (a bump
-    /// that changed nothing) is harmless — the writer's
-    /// encode-and-compare fallback still detects byte-identical
+    /// Monotone mutation counter: bumped whenever a lazy slot fills, a
+    /// ladder is laid or the staircase takes a write lock. The
+    /// incremental snapshot writer compares it against the version it
+    /// last persisted to decide cleanness without re-encoding;
+    /// over-counting (a bump that changed nothing) is harmless — the
+    /// writer's encode-and-compare fallback still detects byte-identical
     /// entries — but a *missed* bump would only cost warmth, never
     /// correctness (persisted artifacts are deterministic functions of
     /// pool content).
@@ -158,45 +100,39 @@ pub(crate) struct ArtifactSet {
 }
 
 impl ArtifactSet {
-    /// Interns a privately-built flat cache (zero-copy moves).
-    pub(crate) fn from_cache(cache: PoolCache, jurors: &[Juror]) -> Self {
-        let tie_free = tie_free(jurors, &cache.eps_order);
-        Self {
+    /// Interns a warm pool's layer, merged orders and whatever lazy
+    /// artifacts it already holds (shared handles, no copies). `None`
+    /// while any shard is cold.
+    pub(crate) fn from_pool(sp: &ShardedPool, jurors: &[Juror]) -> Option<Self> {
+        Some(Self {
             seq: jurors.iter().map(juror_content).collect(),
-            tie_free,
-            eps_order: Arc::new(cache.eps_order),
-            eps_sorted: Arc::new(cache.eps_sorted),
-            greedy_order: Arc::new(cache.greedy_order),
-            altr: once_from(cache.altr),
-            profile: once_from(cache.profile.map(Arc::new)),
-            ladder: once_from(cache.ladder),
-            shard_layer: OnceLock::new(),
-            staircase: RwLock::new(cache.staircase),
+            layer: sp.export_layer()?,
+            merged: sp.merged_orders(),
+            altr: once_from(sp.altr().cloned()),
+            profile: once_from(sp.profile().cloned()),
+            staircase: RwLock::new(Staircase::new()),
             version: AtomicU64::new(0),
-        }
+        })
     }
 
-    /// Interns a sharded pool's merged-layer artifacts. The per-shard
-    /// caches stay private (they repair in place per pool); the global
-    /// ladder slot stays empty — sharded probes merge per-shard pmfs.
-    pub(crate) fn from_merged(
-        eps_order: Arc<Vec<usize>>,
-        greedy_order: Arc<Vec<usize>>,
-        jurors: &[Juror],
+    /// Reassembles an entry from verified snapshot parts. Content/shape
+    /// validation (the permutation and binding checks) is the snapshot
+    /// loader's job; this only rebuilds the struct.
+    pub(crate) fn from_restored(
+        seq: Vec<(u64, u64)>,
+        layer: ShardLayer,
+        merged: Option<(SharedOrder, SharedOrder)>,
+        altr: Option<AltrAnswer>,
+        profile: Option<Arc<JerProfile>>,
+        staircase: Staircase,
     ) -> Self {
-        let eps_sorted: Vec<f64> = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-        let tie_free = tie_free(jurors, &eps_order);
         Self {
-            seq: jurors.iter().map(juror_content).collect(),
-            tie_free,
-            eps_order,
-            eps_sorted: Arc::new(eps_sorted),
-            greedy_order,
-            altr: OnceLock::new(),
-            profile: OnceLock::new(),
-            ladder: OnceLock::new(),
-            shard_layer: OnceLock::new(),
-            staircase: RwLock::new(Staircase::new()),
+            seq,
+            layer,
+            merged,
+            altr: once_from(altr),
+            profile: once_from(profile),
+            staircase: RwLock::new(staircase),
             version: AtomicU64::new(0),
         }
     }
@@ -207,140 +143,28 @@ impl ArtifactSet {
         &self.seq
     }
 
-    /// Reassembles an entry from verified snapshot parts. `tie_free` is
-    /// *recomputed* from the sequence, never trusted from disk — it gates
-    /// permuted sharing, where a wrong `true` would break bit-identity.
-    /// Content/shape validation (the permutation and binding checks) is
-    /// the snapshot loader's job; this only rebuilds the struct.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_restored(
-        seq: Vec<(u64, u64)>,
-        eps_order: Vec<usize>,
-        eps_sorted: Vec<f64>,
-        greedy_order: Vec<usize>,
-        altr: Option<AltrAnswer>,
-        profile: Option<Arc<JerProfile>>,
-        ladder: Option<crate::ladder::PmfLadder>,
-        shard_layer: Option<crate::shard::ShardLayer>,
-        staircase: Staircase,
-    ) -> Self {
-        let tie_free = eps_order.windows(2).all(|w| {
-            let (a, b) = (seq[w[0]], seq[w[1]]);
-            a.0 != b.0 || a.1 == b.1
-        });
-        Self {
-            seq,
-            tie_free,
-            eps_order: Arc::new(eps_order),
-            eps_sorted: Arc::new(eps_sorted),
-            greedy_order: Arc::new(greedy_order),
-            altr: once_from(altr),
-            profile: once_from(profile),
-            ladder: once_from(ladder),
-            shard_layer: once_from(shard_layer),
-            staircase: RwLock::new(staircase),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    /// Classifies `jurors` against the founding sequence: identical,
-    /// permuted-but-equal (tie-free entries only), or no match (content
-    /// differs — a fingerprint collision, which only costs the share).
-    pub(crate) fn match_pool(&self, jurors: &[Juror]) -> Option<Attach> {
-        if jurors.len() != self.seq.len() {
-            return None;
-        }
-        if jurors.iter().zip(&self.seq).all(|(j, &fc)| juror_content(j) == fc) {
-            return Some(Attach::Identical);
-        }
-        if !self.tie_free {
-            return None;
-        }
-        // k-th-occurrence matching per content class, both sides walked
-        // in ascending position order: preserves each comparator's
-        // position tie-break across the translation.
-        let mut ours: HashMap<(u64, u64), VecDeque<usize>> = HashMap::with_capacity(jurors.len());
-        for (pos, juror) in jurors.iter().enumerate() {
-            ours.entry(juror_content(juror)).or_default().push_back(pos);
-        }
-        let mut sigma = vec![0usize; self.seq.len()];
-        for (founding_pos, content) in self.seq.iter().enumerate() {
-            match ours.get_mut(content).and_then(VecDeque::pop_front) {
-                Some(pos) => sigma[founding_pos] = pos,
-                None => return None,
-            }
-        }
-        Some(Attach::Permuted(sigma))
-    }
-
-    /// Takes the artifacts back as a private flat cache, zero-copy and
-    /// lossless — the sole-owner detach path (whose follow-up repair
-    /// clears the AltrM answer and staircase itself) and the
-    /// occupied-key fallback of [`ArtifactStore::publish`] (which must
-    /// lose nothing).
-    pub(crate) fn into_cache(self) -> PoolCache {
-        PoolCache {
-            eps_order: Arc::unwrap_or_clone(self.eps_order),
-            eps_sorted: Arc::unwrap_or_clone(self.eps_sorted),
-            greedy_order: Arc::unwrap_or_clone(self.greedy_order),
-            altr: self.altr.into_inner(),
-            profile: self.profile.into_inner().map(Arc::unwrap_or_clone),
-            ladder: self.ladder.into_inner(),
-            staircase: self
-                .staircase
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Clones a private flat cache out of a still-shared entry — the
-    /// with-siblings detach path. Only what repairs touch is copied.
-    pub(crate) fn cache_clone(&self) -> PoolCache {
-        PoolCache {
-            eps_order: (*self.eps_order).clone(),
-            eps_sorted: (*self.eps_sorted).clone(),
-            greedy_order: (*self.greedy_order).clone(),
-            altr: None,
-            profile: self.profile.get().map(|p| (**p).clone()),
-            ladder: self.ladder.get().cloned(),
-            staircase: Staircase::new(),
-        }
-    }
-
-    /// Translates a permuted attacher's AltrM selection back into
-    /// founding position space (inverse σ; the cost re-summed in
-    /// ascending founding order from the founding sequence's cost bits)
-    /// — so one bound-pruned solve serves every later attacher. The
-    /// tie-free precondition that admitted the permuted attacher makes
-    /// this bit-identical to the solve a founding-sequence pool would
-    /// run: same ε value sequence (JER/stats bits), same cost multiset
-    /// summed in the same ascending-member order.
-    pub(crate) fn untranslate_selection(&self, ours: &Selection, sigma: &[usize]) -> Selection {
-        let mut inverse = vec![0usize; sigma.len()];
-        for (founding, &pos) in sigma.iter().enumerate() {
-            inverse[pos] = founding;
-        }
-        let mut members: Vec<usize> = ours.members.iter().map(|&m| inverse[m]).collect();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&f| f64::from_bits(self.seq[f].1)).sum();
-        Selection { members, jer: ours.jer, total_cost, stats: ours.stats }
+    /// Whether `jurors` equals the founding sequence position for
+    /// position — the only way a pool attaches (a fingerprint collision
+    /// or a rearrangement of equal content only costs the share).
+    pub(crate) fn matches(&self, jurors: &[Juror]) -> bool {
+        jurors.len() == self.seq.len()
+            && jurors.iter().zip(&self.seq).all(|(j, &fc)| juror_content(j) == fc)
     }
 
     /// A copy for an independent store (see [`ArtifactStore::deep_clone`]):
     /// the immutable innards still share memory through their inner
-    /// `Arc`s, while the lazy cells and the staircase snapshot their
-    /// current state into fresh containers.
-    fn snapshot(&self) -> Self {
+    /// `Arc`s, while the lazy cells — the AltrM and profile slots, the
+    /// staircase and every shard cache whose ladder is not laid yet —
+    /// snapshot their current state into fresh containers.
+    fn snapshot(&self, copies: &mut CacheCopies) -> Self {
+        let mut layer = self.layer.clone();
+        layer.copy_unlaid(copies);
         Self {
             seq: self.seq.clone(),
-            tie_free: self.tie_free,
-            eps_order: self.eps_order.clone(),
-            eps_sorted: self.eps_sorted.clone(),
-            greedy_order: self.greedy_order.clone(),
+            layer,
+            merged: self.merged.clone(),
             altr: once_from(self.altr.get().cloned()),
             profile: once_from(self.profile.get().cloned()),
-            ladder: once_from(self.ladder.get().cloned()),
-            shard_layer: once_from(self.shard_layer.get().cloned()),
             staircase: RwLock::new(self.staircase_read().clone()),
             version: AtomicU64::new(self.version.load(Ordering::Acquire)),
         }
@@ -379,59 +203,9 @@ impl ArtifactSet {
         }
     }
 
-    /// [`OnceLock::get_or_init`] over the AltrM slot, dirty-tracked.
-    pub(crate) fn altr_or_init(&self, init: impl FnOnce() -> AltrAnswer) -> &AltrAnswer {
-        if let Some(answer) = self.altr.get() {
-            return answer;
-        }
-        let answer = self.altr.get_or_init(init);
-        self.note_mutation();
-        answer
-    }
-
     /// Fills the JER-profile slot, dirty-tracked.
     pub(crate) fn set_profile(&self, profile: Arc<JerProfile>) {
         if self.profile.set(profile).is_ok() {
-            self.note_mutation();
-        }
-    }
-
-    /// [`OnceLock::get_or_init`] over the profile slot, dirty-tracked.
-    pub(crate) fn profile_or_init(
-        &self,
-        init: impl FnOnce() -> Arc<JerProfile>,
-    ) -> &Arc<JerProfile> {
-        if let Some(profile) = self.profile.get() {
-            return profile;
-        }
-        let profile = self.profile.get_or_init(init);
-        self.note_mutation();
-        profile
-    }
-
-    /// Fills the pmf-ladder slot, dirty-tracked.
-    pub(crate) fn set_ladder(&self, ladder: crate::ladder::PmfLadder) {
-        if self.ladder.set(ladder).is_ok() {
-            self.note_mutation();
-        }
-    }
-
-    /// [`OnceLock::get_or_init`] over the ladder slot, dirty-tracked.
-    pub(crate) fn ladder_or_init(
-        &self,
-        init: impl FnOnce() -> crate::ladder::PmfLadder,
-    ) -> &crate::ladder::PmfLadder {
-        if let Some(ladder) = self.ladder.get() {
-            return ladder;
-        }
-        let ladder = self.ladder.get_or_init(init);
-        self.note_mutation();
-        ladder
-    }
-
-    /// Fills the shard-layer slot, dirty-tracked.
-    pub(crate) fn set_shard_layer(&self, layer: crate::shard::ShardLayer) {
-        if self.shard_layer.set(layer).is_ok() {
             self.note_mutation();
         }
     }
@@ -446,74 +220,11 @@ fn once_from<T>(value: Option<T>) -> OnceLock<T> {
     lock
 }
 
-/// Whether the ε-sorted run contains no equal-ε, different-cost pair
-/// (equal ε values are adjacent in the run).
-fn tie_free(jurors: &[Juror], eps_order: &[usize]) -> bool {
-    eps_order.windows(2).all(|w| {
-        let (a, b) = (&jurors[w[0]], &jurors[w[1]]);
-        a.epsilon().to_bits() != b.epsilon().to_bits() || a.cost.to_bits() == b.cost.to_bits()
-    })
-}
-
 /// One pool's attachment to a store entry.
 #[derive(Debug, Clone)]
 pub(crate) struct StoreLink {
     pub key: StoreKey,
     pub set: Arc<ArtifactSet>,
-}
-
-/// A permuted attacher's position-space view of a shared entry: the
-/// founding orders translated through σ once at attach (`O(N)`,
-/// sort-free), plus the two artifacts that cannot be shared across
-/// permutations (the position-space AltrM selection, translated lazily
-/// from the shared answer, and a private budget staircase).
-#[derive(Debug, Clone)]
-pub(crate) struct PermutedView {
-    /// `sigma[founding_pos]` = this pool's position for that content.
-    pub sigma: Vec<usize>,
-    /// σ-translated ε order — bit-identical to this pool's own sort.
-    pub eps_order: Vec<usize>,
-    /// σ-translated greedy order — bit-identical to this pool's own sort.
-    pub greedy_order: Vec<usize>,
-    /// Position-space AltrM answer (JER/cost/stats bits shared with the
-    /// entry's; members σ-translated).
-    pub altr: Option<AltrAnswer>,
-    /// Private staircase (recorded selections are position-space).
-    pub staircase: Staircase,
-}
-
-impl PermutedView {
-    pub(crate) fn new(set: &ArtifactSet, sigma: Vec<usize>) -> Self {
-        Self {
-            eps_order: translate_order(&set.eps_order, &sigma),
-            greedy_order: translate_order(&set.greedy_order, &sigma),
-            altr: None,
-            staircase: Staircase::new(),
-            sigma,
-        }
-    }
-}
-
-/// Maps a founding-position order into the attacher's position space.
-pub(crate) fn translate_order(order: &[usize], sigma: &[usize]) -> Vec<usize> {
-    order.iter().map(|&p| sigma[p]).collect()
-}
-
-/// Translates a founding-position selection into the attacher's position
-/// space: members are σ-mapped and re-sorted ascending, the cost is
-/// re-summed in that ascending order (exactly what the attacher's
-/// private solve would do), JER bits and stats are shared verbatim (they
-/// are functions of the ε value sequence, which tie-free permutation
-/// equality preserves).
-pub(crate) fn translate_selection(
-    founding: &Selection,
-    sigma: &[usize],
-    jurors: &[Juror],
-) -> Selection {
-    let mut members: Vec<usize> = founding.members.iter().map(|&m| sigma[m]).collect();
-    members.sort_unstable();
-    let total_cost = members.iter().map(|&i| jurors[i].cost).sum();
-    Selection { members, jer: founding.jer, total_cost, stats: founding.stats }
 }
 
 /// The per-service interning map. Entries are kept alive by attached
@@ -536,45 +247,45 @@ impl ArtifactStore {
     /// An independent copy for a cloned service: every entry is
     /// re-wrapped in a fresh `Arc` (the immutable innards still share
     /// memory) so the clone's strong counts track only *its* pools.
-    /// Returns the new store plus the old-pointer → new-handle mapping
-    /// the caller uses to re-link attached pools.
-    pub(crate) fn deep_clone(&self) -> (Self, HashMap<*const ArtifactSet, Arc<ArtifactSet>>) {
+    /// Unlaid shard caches are copied through `copies`, which the caller
+    /// then applies to its pools too. Returns the new store plus the
+    /// old-pointer → new-handle mapping the caller uses to re-link
+    /// attached pools.
+    pub(crate) fn deep_clone(
+        &self,
+        copies: &mut CacheCopies,
+    ) -> (Self, HashMap<*const ArtifactSet, Arc<ArtifactSet>>) {
         let mut remap = HashMap::with_capacity(self.entries.len());
         let mut entries = HashMap::with_capacity(self.entries.len());
         for (key, arc) in &self.entries {
-            let copy = Arc::new(arc.snapshot());
+            let copy = Arc::new(arc.snapshot(copies));
             remap.insert(Arc::as_ptr(arc), copy.clone());
             entries.insert(*key, copy);
         }
         (Self { entries, orphans: self.orphans.clone() }, remap)
     }
+
     /// The entry at `key`, if interned.
     pub(crate) fn get(&self, key: &StoreKey) -> Option<Arc<ArtifactSet>> {
         self.entries.get(key).cloned()
     }
 
-    /// Whether an entry lives at `key` (an occupied key that refused an
-    /// attach keeps its incumbent — see [`ArtifactStore::publish`]).
+    /// Whether an entry lives at `key`.
     pub(crate) fn contains(&self, key: &StoreKey) -> bool {
         self.entries.contains_key(key)
     }
 
     /// Interns `set` under `key` iff the key is vacant, returning the
-    /// shared handle. An occupied key (same fingerprint but an
-    /// arrangement the incumbent refused to admit, or colliding
-    /// content) keeps its incumbent — replacing it would strand the
-    /// incumbent's attached pools and let alternating arrangements
-    /// thrash the entry — and the set is handed back untouched so the
-    /// builder stays private without losing anything.
-    pub(crate) fn publish(
-        &mut self,
-        key: StoreKey,
-        set: ArtifactSet,
-    ) -> Result<Arc<ArtifactSet>, Box<ArtifactSet>> {
+    /// shared handle. An occupied key (same fingerprint but another
+    /// arrangement of the content, or colliding content) keeps its
+    /// incumbent — replacing it would strand the incumbent's attached
+    /// pools and let alternating arrangements thrash the entry — and the
+    /// builder stays private.
+    pub(crate) fn publish(&mut self, key: StoreKey, set: ArtifactSet) -> Option<Arc<ArtifactSet>> {
         match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => Err(Box::new(set)),
+            std::collections::hash_map::Entry::Occupied(_) => None,
             std::collections::hash_map::Entry::Vacant(slot) => {
-                Ok(slot.insert(Arc::new(set)).clone())
+                Some(slot.insert(Arc::new(set)).clone())
             }
         }
     }
@@ -631,20 +342,6 @@ impl ArtifactStore {
             true
         });
         evicted
-    }
-
-    /// Removes and returns the entry at `key` iff exactly one pool holds
-    /// it besides the map — the sole-owner detach fast path.
-    pub(crate) fn take_if_sole(&mut self, key: &StoreKey, holder: &Arc<ArtifactSet>) -> bool {
-        if self
-            .entries
-            .get(key)
-            .is_some_and(|arc| Arc::ptr_eq(arc, holder) && Arc::strong_count(arc) == 2)
-        {
-            self.entries.remove(key);
-            return true;
-        }
-        false
     }
 
     /// Number of interned entries (observability / tests).

@@ -55,13 +55,12 @@ fn shuffled<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
     out
 }
 
-/// Whether no two jurors share ε bits with different cost bits — the
-/// documented precondition for cross-permutation sharing.
-fn tie_free(jurors: &[Juror]) -> bool {
-    jurors.iter().enumerate().all(|(i, a)| {
-        jurors[..i].iter().all(|b| {
-            a.epsilon().to_bits() != b.epsilon().to_bits() || a.cost.to_bits() == b.cost.to_bits()
-        })
+/// Whether two juror lists differ somewhere in solver-relevant content
+/// (ε or cost bits) — a shuffle of duplicates can leave the sequence
+/// unchanged.
+fn rearranged(a: &[Juror], b: &[Juror]) -> bool {
+    a.iter().zip(b).any(|(x, y)| {
+        x.epsilon().to_bits() != y.epsilon().to_bits() || x.cost.to_bits() != y.cost.to_bits()
     })
 }
 
@@ -230,68 +229,11 @@ fn identically_mutated_siblings_follow_published_entries() {
 }
 
 #[test]
-fn reversed_pool_shares_artifacts_and_translates_orders() {
-    // A deterministic permuted attach: reversal with ε ties (equal
-    // cost, so tie-free). The permuted pool's orders, answers and
-    // staircase-served PayM selections must be bit-identical to its own
-    // direct solves, while the rank-space artifacts stay pointer-shared.
-    let pairs =
-        [(0.3, 0.2), (0.1, 0.5), (0.3, 0.2), (0.45, 0.1), (0.2, 0.9), (0.2, 0.9), (0.05, 0.4)];
-    let jurors = build(&pairs);
-    let mut reversed = jurors.clone();
-    reversed.reverse();
-    let mut service = JuryService::new();
-    let a = service.create_pool(jurors);
-    let b = service.create_pool(reversed.clone());
-    service.warm_pool(a).unwrap();
-    service.warm_pool(b).unwrap();
-    assert!(service.shares_artifacts_with(a, b).unwrap(), "reversal is a tie-free permutation");
-    assert_eq!(service.stats().artifact_share_hits, 1);
-    // The translated ε order equals the permuted pool's own sort.
-    let mut own_order = Vec::new();
-    jury_core::solver::sorted_order_into(&reversed, &mut own_order);
-    assert_eq!(service.reliability_order(b).unwrap(), own_order.as_slice());
-    assert_altr_matches_direct(&mut service, b, "reversed pool");
-    for budget in [0.0, 0.35, 0.81, 2.0, f64::MAX] {
-        assert_paym_matches_direct(&mut service, b, budget, "reversed pool");
-    }
-}
-
-#[test]
-fn permuted_solver_publishes_the_answer_for_later_attachers() {
-    // A publishes an orders-only entry (probe warming); permuted B runs
-    // the first AltrM solve and must translate it back into founding
-    // space so an identical-to-A pool C replays instead of re-solving.
-    let jurors = build(&[(0.3, 0.2), (0.1, 0.5), (0.22, 0.3), (0.45, 0.1), (0.05, 0.4)]);
-    let mut reversed = jurors.clone();
-    reversed.reverse();
-    let mut service = JuryService::new();
-    let a = service.create_pool(jurors.clone());
-    service.jer_probe(a, 1).unwrap(); // orders-only entry, no AltrM answer yet
-    assert_eq!(service.stats().cache_builds, 0, "probe warming builds no solved artifacts");
-
-    let b = service.create_pool(reversed);
-    assert_altr_matches_direct(&mut service, b, "permuted first solver");
-    let builds_after_b = service.stats().cache_builds;
-
-    let c = service.create_pool(jurors.clone());
-    assert_altr_matches_direct(&mut service, c, "founding-sequence follower");
-    assert_eq!(
-        service.stats().cache_builds,
-        builds_after_b,
-        "the follower replays the permuted solver's published answer"
-    );
-    // And the founding pool itself replays it too.
-    assert_altr_matches_direct(&mut service, a, "founding pool");
-    assert_eq!(service.stats().cache_builds, builds_after_b);
-}
-
-#[test]
 fn refused_attach_never_clobbers_the_incumbent_entry() {
-    // Tie-violating content (equal ε, different costs): permuted
-    // arrangements can never share, and a refused attach must leave the
-    // incumbent entry in place — the permuted pool stays private
-    // instead of publishing over its siblings' entry, so
+    // A rearrangement of equal content has the same fingerprint but
+    // another sequence: it can never share, and the refused attach must
+    // leave the incumbent entry in place — the rearranged pool stays
+    // private instead of publishing over its siblings' entry, so
     // identical-sequence attachers keep sharing.
     let jurors = build(&[(0.2, 0.1), (0.2, 0.9), (0.1, 0.3), (0.35, 0.2)]);
     let mut reversed = jurors.clone();
@@ -303,12 +245,12 @@ fn refused_attach_never_clobbers_the_incumbent_entry() {
     service.warm_pool(a).unwrap();
     service.warm_pool(b).unwrap();
     assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap());
-    assert!(!service.shares_artifacts_with(a, b).unwrap(), "tie-violating permutation refused");
+    assert!(!service.shares_artifacts_with(a, b).unwrap(), "a rearrangement is refused");
     assert_eq!(service.artifact_entries(), 1, "the refused pool must not clobber the entry");
     service.warm_pool(c).unwrap();
     assert!(service.shares_artifacts_with(a, c).unwrap(), "identical pools keep sharing");
     assert_eq!(service.stats().artifact_share_hits, 1);
-    assert_altr_matches_direct(&mut service, b, "refused permuted pool");
+    assert_altr_matches_direct(&mut service, b, "refused rearranged pool");
 }
 
 #[test]
@@ -372,7 +314,7 @@ fn sharded_equal_pools_share_merged_artifacts() {
     let mut service = JuryService::with_config(config);
     let a = service.create_pool(jurors.clone());
     let b = service.create_pool(jurors.clone());
-    assert_eq!(service.is_sharded(a), Ok(true));
+    assert_eq!(service.shard_count(a), Ok(4));
     assert_altr_matches_direct(&mut service, a, "founding sharded pool");
     let builds_after_a = service.stats().cache_builds;
     assert_altr_matches_direct(&mut service, b, "attached sharded pool");
@@ -397,9 +339,9 @@ fn sharded_equal_pools_share_merged_artifacts() {
 }
 
 #[test]
-fn promotion_of_a_shared_pool_discards_the_attachment_cleanly() {
-    // Crossing the shard threshold replaces the flat cache wholesale:
-    // the shared attachment is dropped (no private copy is ever
+fn repartitioning_a_shared_pool_releases_the_attachment_cleanly() {
+    // Crossing the shard threshold re-partitions the pool cold: the
+    // shared attachment is released (no private copy is ever
     // materialised), the sibling keeps the entry, and both pools keep
     // answering bit-identically.
     let jurors = build(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4), (0.25, 0.3)]);
@@ -415,14 +357,14 @@ fn promotion_of_a_shared_pool_discards_the_attachment_cleanly() {
     assert!(service.shares_artifacts_with(a, b).unwrap());
 
     service.insert_juror(a, Juror::new(10, ErrorRate::new(0.15).unwrap(), 0.2)).unwrap();
-    assert_eq!(service.is_sharded(a), Ok(false), "below threshold stays flat");
+    assert_eq!(service.shard_count(a), Ok(1), "below threshold keeps one shard");
     service.insert_juror(a, Juror::new(11, ErrorRate::new(0.18).unwrap(), 0.1)).unwrap();
-    assert_eq!(service.is_sharded(a), Ok(true), "crossing the threshold promotes");
-    assert!(!service.shares_artifacts_with(a, b).unwrap(), "layouts diverged");
-    assert!(service.artifact_entries() >= 1, "the sibling keeps its flat entry");
-    assert_altr_matches_direct(&mut service, a, "promoted pool");
-    assert_altr_matches_direct(&mut service, b, "flat sibling");
-    assert_paym_matches_direct(&mut service, b, 0.5, "flat sibling");
+    assert_eq!(service.shard_count(a), Ok(3), "crossing the threshold re-partitions");
+    assert!(!service.shares_artifacts_with(a, b).unwrap(), "content and shard counts diverged");
+    assert!(service.artifact_entries() >= 1, "the sibling keeps its one-shard entry");
+    assert_altr_matches_direct(&mut service, a, "re-partitioned pool");
+    assert_altr_matches_direct(&mut service, b, "one-shard sibling");
+    assert_paym_matches_direct(&mut service, b, 0.5, "one-shard sibling");
 }
 
 #[test]
@@ -516,45 +458,46 @@ fn sharing_disabled_stays_private() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Satellite contract: permuted-but-equal juror multisets produce
-    // equal fingerprints and — when the content is tie-free — shared,
-    // pointer-equal artifact sets; every answer stays bit-identical to
-    // the permuted pool's own direct solve either way. Tie-violating
-    // content (equal ε, different cost) must refuse the permuted share
-    // and build privately.
+    // A shuffled pool over the same jurors has an equal fingerprint but
+    // another sequence: it builds privately (one more cold build, no
+    // share hit), never replaces the incumbent entry — pools identical
+    // to the founder keep attaching — and answers AltrM and PayM
+    // bit-identically to the direct solvers on *its* juror order.
     #[test]
-    fn permuted_pools_share_fingerprints_and_artifacts(
+    fn shuffled_pools_build_privately_and_keep_the_incumbent(
         pairs in pools(60),
         seed in 1u64..u64::MAX,
         budget in 0.0..3.0f64,
     ) {
         let jurors = build(&pairs);
-        let permuted = shuffled(&jurors, seed);
+        let shuffled = shuffled(&jurors, seed);
+        prop_assume!(rearranged(&jurors, &shuffled));
         let mut service = JuryService::new();
         let a = service.create_pool(jurors.clone());
-        let b = service.create_pool(permuted.clone());
+        let b = service.create_pool(shuffled.clone());
         prop_assert_eq!(
             service.fingerprint(a).unwrap(),
             service.fingerprint(b).unwrap(),
             "equal multisets must produce equal fingerprints"
         );
         service.warm_pool(a).unwrap();
+        let builds_a = service.stats().cache_builds;
         service.warm_pool(b).unwrap();
-        let shared = service.shares_artifacts_with(a, b).unwrap();
-        if tie_free(&jurors) {
-            prop_assert!(shared, "tie-free permuted multisets must share pointer-equal artifacts");
-            prop_assert_eq!(service.stats().artifact_share_hits, 1);
-            prop_assert_eq!(service.artifact_entries(), 1);
-        } else {
-            prop_assert!(!shared, "tie-violating content must refuse the permuted share");
-        }
-        // Shared or not, the permuted pool's answers are its own:
-        // bit-identical to the direct solvers on *its* juror order.
+        prop_assert!(!service.shares_artifacts_with(a, b).unwrap(), "a shuffle never attaches");
+        prop_assert_eq!(service.stats().cache_builds, builds_a + 1, "the shuffle builds privately");
+        prop_assert_eq!(service.stats().artifact_share_hits, 0);
+        prop_assert_eq!(service.artifact_entries(), 1, "the incumbent keeps its key");
+        let c = service.create_pool(jurors.clone());
+        service.warm_pool(c).unwrap();
+        prop_assert!(service.shares_artifacts_with(a, c).unwrap(), "the founder's entry survives");
+        prop_assert_eq!(service.stats().artifact_share_hits, 1);
+
         assert_altr_matches_direct(&mut service, a, "founding pool");
-        assert_altr_matches_direct(&mut service, b, "permuted pool");
+        assert_altr_matches_direct(&mut service, b, "shuffled pool");
         assert_paym_matches_direct(&mut service, a, budget, "founding pool");
-        assert_paym_matches_direct(&mut service, b, budget, "permuted pool");
-        // Rank-space artifacts agree bit-for-bit across the permutation.
+        assert_paym_matches_direct(&mut service, b, budget, "shuffled pool");
+        // The profile is a function of the sorted rates alone: equal
+        // bits across the arrangement.
         let profile_a = service.jer_profile(a).unwrap().to_vec();
         let profile_b = service.jer_profile(b).unwrap().to_vec();
         for ((na, ja), (nb, jb)) in profile_a.iter().zip(&profile_b) {

@@ -1,6 +1,6 @@
 //! Service error-path coverage: stale pool handles, out-of-range juror
-//! indices and batches mixing valid and invalid tasks — on flat *and*
-//! sharded pools. The happy paths live in `equivalence.rs` /
+//! indices and batches mixing valid and invalid tasks — on one-shard
+//! *and* sharded pools. The happy paths live in `equivalence.rs` /
 //! `sharded_differential.rs`; these tests pin the failure contract.
 
 use jury_core::altr::{AltrAlg, AltrConfig};
@@ -24,9 +24,9 @@ fn jurors() -> Vec<Juror> {
 
 fn services() -> Vec<(&'static str, JuryService)> {
     vec![
-        ("flat", JuryService::new()),
+        ("one shard", JuryService::new()),
         (
-            "sharded",
+            "three shards",
             JuryService::with_config(ServiceConfig {
                 shard: ShardConfig { threshold: 1, shards: 3, ..Default::default() },
                 ..Default::default()
@@ -55,7 +55,6 @@ fn stale_pool_id_after_remove_pool_fails_everywhere() {
         );
         assert_eq!(service.warm_pool(stale), Err(expect_unknown.clone()));
         assert_eq!(service.pool(stale).unwrap_err(), expect_unknown);
-        assert_eq!(service.is_sharded(stale).unwrap_err(), expect_unknown);
         assert_eq!(service.shard_count(stale).unwrap_err(), expect_unknown);
         assert_eq!(service.jer_profile(stale).unwrap_err(), expect_unknown);
         assert_eq!(service.jer_probe(stale, 3).unwrap_err(), expect_unknown);

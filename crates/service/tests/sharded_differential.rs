@@ -1,8 +1,8 @@
-//! Differential harness: sharded serving must be invisible.
+//! Differential harness: the shard count must be invisible.
 //!
 //! For every shard count K ∈ {1, 2, 7, 16} these properties drive
-//! *identical* task streams and mutation sequences through a sharded
-//! service, an unsharded service and the direct solvers, and assert
+//! *identical* task streams and mutation sequences through a K-shard
+//! service, a default (one-shard) service and the direct solvers, and assert
 //! **bit-identical** [`Selection`]s — members, JER bits, cost bits and
 //! solver stats — including solver errors, pools whose size is not
 //! divisible by K, empty shards (K > pool size), budgets that straddle
@@ -10,8 +10,8 @@
 //!
 //! The guarantee under test is the sharding invariant documented in
 //! `jury_service`'s crate docs: per-shard sorted runs K-way-merge into
-//! exactly the flat sort's permutation, so the solvers' presorted scans
-//! perform the identical float operations.
+//! exactly the one-shard run's permutation, so the solvers' presorted
+//! scans perform the identical float operations.
 //!
 //! Every PayM assertion also exercises the **budget staircase**: each
 //! service task is solved twice (the staircase-recording miss and the
@@ -226,7 +226,7 @@ proptest! {
             let sp = sharded.create_pool(jurors.clone());
             let fp = flat.create_pool(jurors.clone());
             prop_assert_eq!(sp, fp, "identical registration order must yield identical ids");
-            prop_assert_eq!(sharded.is_sharded(sp), Ok(true));
+            prop_assert_eq!(sharded.shard_count(sp), Ok(k));
 
             let mut tasks = vec![DecisionTask::altruism(sp)];
             tasks.extend(budgets.iter().map(|&b| DecisionTask::pay_as_you_go(sp, b)));
@@ -427,8 +427,8 @@ proptest! {
         }
     }
 
-    // A flat pool promoted mid-stream (inserts crossing the shard
-    // threshold) keeps matching a never-sharded reference.
+    // A one-shard pool re-partitioned mid-stream (inserts crossing the
+    // shard threshold) keeps matching a one-shard reference.
     #[test]
     fn promotion_preserves_bit_identity(
         pairs in pools(20),
@@ -454,11 +454,11 @@ proptest! {
                 assert_identical(
                     &promoting.solve(&task),
                     &flat.solve(&task),
-                    &format!("insert {i}, promoted={}", promoting.is_sharded(pp).unwrap()),
+                    &format!("insert {i}, shards={}", promoting.shard_count(pp).unwrap()),
                 );
             }
         }
-        prop_assert!(promoting.is_sharded(pp).unwrap(), "stream must end sharded");
+        prop_assert_eq!(promoting.shard_count(pp), Ok(7), "stream must end re-partitioned");
     }
 }
 
@@ -563,7 +563,8 @@ fn forced_degeneracy_rebalance_keeps_bit_identity() {
 
 /// Counter gate: a warm sharded insert repairs the owning shard in
 /// place — `full_repairs` must never tick, `insert_repairs` counts
-/// every one, and the pool stays warm throughout.
+/// every one, and re-warming after it builds no shard (a one-shard pool
+/// re-solves only its dropped AltrM answer).
 #[test]
 fn warm_sharded_insert_never_full_repairs() {
     for k in SHARD_COUNTS {
@@ -583,7 +584,11 @@ fn warm_sharded_insert_never_full_repairs() {
             let stats = service.stats();
             assert_eq!(stats.full_repairs, base, "k={k}: insert {i} must not full-repair");
             assert_eq!(stats.insert_repairs, i as usize + 1, "k={k}: insert {i} repairs in place");
-            assert!(service.is_warm(pool), "k={k}: insert {i} must keep the pool warm");
+            service.warm_pool(pool).unwrap();
+            let stats = service.stats();
+            assert_eq!(stats.full_repairs, base, "k={k}: insert {i}: re-warm builds nothing");
+            assert_eq!(stats.shard_repairs, 0, "k={k}: insert {i}: no shard was dropped");
+            assert!(service.is_warm(pool), "k={k}: insert {i}: the re-solve completes the pool");
         }
     }
 }

@@ -11,10 +11,11 @@
 //! The matrix drives the real write path, then mutates the on-disk
 //! bytes the way crashes and bit rot do: truncation at and inside every
 //! section boundary, a flipped bit in every field class (key, sequence,
-//! orders, sorted runs, cached answers, pmf ladders, staircase, shard
-//! layer, checksums, magic), manifests swapped between pools, a
-//! manifest doctored to claim a mutated pool's fingerprint over stale
-//! bytes, and version skew in both the manifest and the entry magic.
+//! merged orders, cached answers, staircase, shard layer with its runs
+//! and pmf ladders, checksums, magic), manifests swapped between pools,
+//! a manifest doctored to claim a mutated pool's fingerprint over stale
+//! bytes, version skew in both the manifest and the entry magic, and an
+//! entry in the retired flat format.
 //! Where a gate would be masked by an outer checksum, the harness
 //! re-forges the outer layers (manifest whole-file checksum, section
 //! checksum) with the exported [`snapshot_checksum`] so the inner
@@ -70,6 +71,7 @@ fn pool(n: usize) -> Vec<Juror> {
     pool_from_rates_and_costs(&pairs).unwrap()
 }
 
+/// The default configuration: every pool has one shard.
 fn flat_config() -> ServiceConfig {
     ServiceConfig::default()
 }
@@ -162,13 +164,10 @@ fn manifest_path(dir: &Path) -> PathBuf {
     for entry in fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
-        let generation = if name == "manifest.json" {
-            Some(0)
-        } else {
-            name.strip_prefix("manifest-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|g| g.parse::<u64>().ok())
-        };
+        let generation = name
+            .strip_prefix("manifest-")
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .and_then(|g| g.parse::<u64>().ok());
         if let Some(generation) = generation {
             if best.as_ref().is_none_or(|(b, _)| generation > *b) {
                 best = Some((generation, path));
@@ -280,10 +279,8 @@ fn section_name(tag: u32) -> &'static str {
         2 => "SEQ",
         3 => "EPS_ORDER",
         4 => "GREEDY_ORDER",
-        5 => "EPS_SORTED",
         6 => "ALTR",
         7 => "PROFILE",
-        8 => "LADDER",
         9 => "STAIRCASE",
         10 => "SHARDS",
         _ => "UNKNOWN",
@@ -314,6 +311,26 @@ fn pristine_snapshot_restores_bit_identically() {
         assert!(stats.snapshot_restores >= 1, "{name}: restore must actually happen");
         assert_eq!(stats.snapshot_rejections, 0, "{name}: a pristine snapshot rejects nothing");
     }
+}
+
+/// A pool with more shards than jurors (empty shards) restores like any
+/// other: the decoder bounds the shard count by the registering key, not
+/// by the pool size.
+#[test]
+fn more_shards_than_jurors_restore() {
+    let config = ServiceConfig {
+        shard: ShardConfig { threshold: 0, shards: 16, ..Default::default() },
+        ..Default::default()
+    };
+    let tmp = TempDir::new("sparse-shards");
+    let jurors = pool(5);
+    let cold = control(&config, &jurors);
+    assert_eq!(seed_snapshot(tmp.path(), &config, &jurors), cold);
+    let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let pool_id = restored.create_pool(jurors.clone());
+    assert_eq!(drive(&mut restored, pool_id), cold);
+    let stats = restored.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
 }
 
 /// Content the snapshot never saw is a plain miss: no restore, but also
@@ -396,12 +413,12 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
             let sect = section_name(section.tag);
             // Per-section flip target: an offset whose corruption a
             // semantic gate is *guaranteed* to catch once checksums are
-            // re-forged (first key lane / first order index / first ε
-            // word / leading JSON byte / a ladder's stored pmf hash /
-            // the first shard-owner word).
+            // re-forged (first key lane / first ε word / first order
+            // index / leading JSON byte / the first shard-owner word, or
+            // for one shard, whose owner vector is empty, the shard
+            // count).
             let at = match sect {
                 "END" => continue, // zero-length payload; framing covered by truncation
-                "LADDER" => section.payload + 16,
                 "SHARDS" => section.payload + 8,
                 _ => section.payload,
             };
@@ -440,7 +457,7 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
 
         // A flipped bit in the magic / format version.
         let mut flipped = pristine.clone();
-        flipped[7] ^= 0x01; // b"JRYSNP01" -> b"JRYSNP00": version skew
+        flipped[7] ^= 0x01; // b"JRYSNP02" -> b"JRYSNP03": version skew
         fs::write(&file, &flipped).unwrap();
         reforge_manifest(tmp.path());
         assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "entry-file version skew");
@@ -595,15 +612,15 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
     fs::write(manifest_path(tmp.path()), b"{this is not a manifest").unwrap();
     assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "corrupt manifest JSON");
 
-    // Config drift: the snapshot promised this content under a flat
-    // layout; a service registering the same content sharded must get a
+    // Config drift: the snapshot promised this content with one shard;
+    // a service registering the same content with four must get a
     // counted rejection (promised content it cannot deliver), then
     // build cold.
     let tmp = TempDir::new("config-drift");
     seed_snapshot(tmp.path(), &config, &jurors);
     let sharded = sharded_config();
     let cold_sharded = control(&sharded, &jurors);
-    assert_cold_fallback(tmp.path(), &sharded, &jurors, &cold_sharded, "layout drift");
+    assert_cold_fallback(tmp.path(), &sharded, &jurors, &cold_sharded, "shard-count drift");
 
     // A missing manifest over intact entry files is an empty catalog:
     // no restore, no rejection — nothing was promised.
@@ -622,17 +639,126 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
 /// bit-flip matrix claims to cover — otherwise the matrix is vacuous.
 #[test]
 fn seeded_snapshots_cover_every_section_class() {
+    // One shard: its runs are the global orders, stored once in SHARDS.
     let tmp = TempDir::new("coverage-flat");
     seed_snapshot(tmp.path(), &flat_config(), &pool(24));
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    for required in 1..=9u32 {
-        assert!(tags.contains(&required), "flat entry lacks {}", section_name(required));
+    for required in [1u32, 2, 6, 7, 9, 10] {
+        assert!(tags.contains(&required), "one-shard entry lacks {}", section_name(required));
     }
+    assert!(!tags.contains(&3) && !tags.contains(&4), "one shard stores no merged orders");
 
+    // K shards add the merged orders.
     let tmp = TempDir::new("coverage-sharded");
     seed_snapshot(tmp.path(), &sharded_config(), &pool(24));
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    assert!(tags.contains(&10), "sharded entry lacks SHARDS");
+    for required in [1u32, 2, 3, 4, 6, 7, 9, 10] {
+        assert!(tags.contains(&required), "sharded entry lacks {}", section_name(required));
+    }
+}
+
+/// The pmf ladder inside the one-shard SHARDS section: its laid flag and
+/// a checkpoint's stored pmf hash are each caught by a semantic gate
+/// once the section checksum is re-forged. The pool is long enough for
+/// the ladder (laid by the drive's profile read) to hold checkpoints.
+#[test]
+fn flipped_ladder_bytes_fall_back_cold() {
+    let tmp = TempDir::new("ladder-flip");
+    let config = flat_config();
+    let jurors = pool(150);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    let pristine = fs::read(&file).unwrap();
+    let shards = sections_of(&pristine).into_iter().find(|s| s.tag == 10).unwrap();
+    // owner_len, shard count, run size, two runs of 150 indices.
+    let flag = shards.payload + 24 + 2 * 8 * jurors.len();
+    assert_eq!(pristine[flag], 1, "the profile read laid the ladder");
+    let checkpoints = u64::from_le_bytes(pristine[flag + 1..flag + 9].try_into().unwrap());
+    assert_eq!(checkpoints, 2, "150 jurors hold two checkpoints");
+    // The flag, and the first checkpoint's stored hash (after its length).
+    for (at, what) in [(flag, "ladder flag"), (flag + 17, "checkpoint pmf hash")] {
+        let mut flipped = pristine.clone();
+        flipped[at] ^= 0x01;
+        reseal_section(&mut flipped, &shards);
+        fs::write(&file, &flipped).unwrap();
+        reforge_manifest(tmp.path());
+        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, what);
+    }
+}
+
+/// An entry in the retired `JRYSNP01` flat format — magic, a KEY with
+/// layout byte 0, and the separate order, sorted-ε and staircase
+/// sections the flat layout wrote — is refused as one counted rejection
+/// and the pool builds cold, whether the manifest names it under the
+/// current shard count or still says `flat`.
+#[test]
+fn retired_flat_format_entry_is_refused_cold() {
+    let config = flat_config();
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    for manifest_layout in ["sharded", "flat"] {
+        let tmp = TempDir::new(&format!("retired-flat-{manifest_layout}"));
+        seed_snapshot(tmp.path(), &config, &jurors);
+        let file = entry_file(tmp.path());
+        let current = fs::read(&file).unwrap();
+        let sections = sections_of(&current);
+        let payload = |tag: u32| {
+            let s = sections.iter().find(|s| s.tag == tag).unwrap();
+            current[s.payload..s.payload + s.len].to_vec()
+        };
+        // KEY: lanes and length as today, then layout byte 0 (flat) and
+        // the config word — the flat key carried no shard count.
+        let key = payload(1);
+        let mut flat_key = key[..24].to_vec();
+        flat_key.push(0);
+        flat_key.extend_from_slice(&key[32..40]);
+        let mut eps_order = Vec::new();
+        jury_core::solver::sorted_order_into(&jurors, &mut eps_order);
+        let mut greedy_order = Vec::new();
+        jury_core::paym::PayAlg::greedy_order_into(&jurors, &mut greedy_order);
+        let words = |values: &mut dyn Iterator<Item = u64>| {
+            values.flat_map(u64::to_le_bytes).collect::<Vec<u8>>()
+        };
+        let mut retired = b"JRYSNP01".to_vec();
+        for (tag, body) in [
+            (1u32, flat_key),
+            (2, payload(2)),
+            (3, words(&mut eps_order.iter().map(|&i| i as u64))),
+            (4, words(&mut greedy_order.iter().map(|&i| i as u64))),
+            (5, words(&mut eps_order.iter().map(|&i| jurors[i].epsilon().to_bits()))),
+            (9, payload(9)),
+            (0, Vec::new()),
+        ] {
+            retired.extend_from_slice(&tag.to_le_bytes());
+            retired.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            let sum = splitmix64(snapshot_checksum(&body) ^ u64::from(tag));
+            retired.extend_from_slice(&body);
+            retired.extend_from_slice(&sum.to_le_bytes());
+        }
+        fs::write(&file, &retired).unwrap();
+        reforge_manifest(tmp.path());
+        if manifest_layout == "flat" {
+            let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
+            let entry = &old.get("entries").unwrap().as_array().unwrap()[0];
+            let flat_entry = Value::object([
+                ("file", entry.get("file").unwrap().clone()),
+                ("lanes", entry.get("lanes").unwrap().clone()),
+                ("len", entry.get("len").unwrap().clone()),
+                ("layout", Value::String("flat".to_string())),
+                ("config", entry.get("config").unwrap().clone()),
+                ("bytes", entry.get("bytes").unwrap().clone()),
+                ("checksum", entry.get("checksum").unwrap().clone()),
+            ]);
+            write_manifest(tmp.path(), vec![flat_entry]);
+        }
+        let what = format!("retired flat entry, manifest layout {manifest_layout}");
+        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &what);
+        let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+        let pool_id = service.create_pool(jurors.clone());
+        service.warm_pool(pool_id).unwrap();
+        assert_eq!(service.stats().snapshot_rejections, 1, "{what}: exactly one rejection");
+    }
 }
